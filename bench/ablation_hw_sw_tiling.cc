@@ -18,7 +18,8 @@ namespace
 {
 
 RunResult
-runMaybeTiled(const BenchOptions &opts, DesignPoint design, bool tiled)
+runMaybeTiled(const BenchOptions &opts, DesignPoint design, bool tiled,
+              std::ostream *debug_out)
 {
     workloads::WorkloadParams params;
     params.n = opts.n;
@@ -34,7 +35,9 @@ runMaybeTiled(const BenchOptions &opts, DesignPoint design, bool tiled)
     SystemConfig config = spec.autoScaleCaches
                               ? spec.system.scaledForInput(spec.n)
                               : spec.system;
-    System system(config, compiled);
+    observe::Options obs = opts.observe;
+    obs.debugOut = debug_out;
+    System system(config, compiled, obs);
     return system.run();
 }
 
@@ -58,10 +61,13 @@ main(int argc, char **argv)
     // are not expressible as RunSpecs; drive the pool directly.
     std::vector<RunResult> results(designs.size() * 2);
     sweep::Executor pool(opts.jobs);
+    observe::CellText text(opts.observe.debugOut, results.size(),
+                           pool.jobs() > 1);
     pool.forEach(results.size(), [&](std::size_t idx) {
         results[idx] = runMaybeTiled(opts, designs[idx / 2],
-                                     idx % 2 != 0);
+                                     idx % 2 != 0, text[idx]);
     });
+    text.flush();
 
     for (std::size_t d = 0; d < designs.size(); ++d) {
         auto design = designs[d];

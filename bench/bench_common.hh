@@ -14,6 +14,7 @@
  *                 a versioned binary .mdat file while simulating
  *   --trace-replay <dir>    drive cells from recorded .mdat files,
  *                 skipping compilation and trace generation
+ *   --debug-flags <f,g>     print debug text (also MDA_DEBUG_FLAGS)
  *
  * Scaled runs divide every cache capacity by (512/n)^2 so the
  * working-set : capacity ratios — which the paper's results hinge on —
@@ -24,8 +25,8 @@
  * sweep::Executor pool, and the reporting loops then read the warmed
  * cache. Results and --stats-json bytes are identical for any job
  * count (cells are independently seeded; the JSON archive is
- * key-sorted). Tracing (--debug-flags, MDA_DEBUG_FLAGS) writes to
- * process-wide sinks and therefore forces --jobs 1.
+ * key-sorted). Debug text is per cell too and is printed in cell
+ * order, so it is also identical for any job count.
  */
 
 #ifndef MDA_BENCH_BENCH_COMMON_HH
@@ -41,10 +42,11 @@
 #include <string>
 #include <vector>
 
+#include "harness/cli.hh"
+#include "harness/observe.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
 #include "harness/sweep.hh"
-#include "sim/debug.hh"
 
 namespace mda::bench
 {
@@ -92,11 +94,15 @@ struct BenchOptions
     std::uint64_t samplePeriod = 0;
     std::uint64_t sampleWindow = 0;
 
+    /** Debug text every cell prints (--debug-flags and the
+     *  MDA_DEBUG_FLAGS environment variable). */
+    observe::Options observe;
+
     static BenchOptions
     parse(int argc, char **argv)
     {
         BenchOptions opts;
-        bool jobs_given = false;
+        opts.observe.debugFlags = observe::environmentDebugFlags();
         for (int a = 1; a < argc; ++a) {
             std::string arg = argv[a];
             // Flags that take a value refuse to be the final argv
@@ -113,17 +119,15 @@ struct BenchOptions
             } else if (arg == "--quick") {
                 opts.n = 64;
             } else if (arg == "--n") {
-                opts.n = std::atoll(next());
+                opts.n = cli::parseNumber<std::int64_t>(arg, next());
             } else if (arg == "--jobs") {
-                opts.jobs = static_cast<unsigned>(std::atoi(next()));
-                jobs_given = true;
+                opts.jobs = cli::parseNumber<unsigned>(arg, next());
             } else if (arg == "--stats-json") {
                 opts.statsJsonPath = next();
             } else if (arg == "--telemetry") {
                 opts.telemetry = true;
             } else if (arg == "--stats-interval") {
-                opts.statsInterval =
-                    static_cast<Tick>(std::atoll(next()));
+                opts.statsInterval = cli::parseNumber<Tick>(arg, next());
             } else if (arg == "--stats-jsonl") {
                 opts.statsJsonlPath = next();
             } else if (arg == "--trace-capture") {
@@ -131,13 +135,13 @@ struct BenchOptions
             } else if (arg == "--trace-replay") {
                 opts.traceReplayDir = next();
             } else if (arg == "--sample-period") {
-                opts.samplePeriod = static_cast<std::uint64_t>(
-                    std::atoll(next()));
+                opts.samplePeriod =
+                    cli::parseNumber<std::uint64_t>(arg, next());
             } else if (arg == "--sample-window") {
-                opts.sampleWindow = static_cast<std::uint64_t>(
-                    std::atoll(next()));
+                opts.sampleWindow =
+                    cli::parseNumber<std::uint64_t>(arg, next());
             } else if (arg == "--debug-flags") {
-                debug::setFlags(next());
+                observe::addDebugFlags(next(), opts.observe.debugFlags);
             } else if (arg == "--workloads") {
                 opts.workloads.clear();
                 std::stringstream ss(next());
@@ -187,16 +191,6 @@ struct BenchOptions
                 fatal("--sample-period is incompatible with "
                       "--stats-interval: fast-forwarded intervals "
                       "would skew the series");
-        }
-        if (obs::hot) {
-            // Debug tracing interleaves across workers; keep traced
-            // runs readable by defaulting to one job, and refuse an
-            // explicit parallel request outright.
-            if (jobs_given && sweep::resolveJobs(opts.jobs) > 1) {
-                fatal("--debug-flags/MDA_DEBUG_FLAGS write to a "
-                      "process-wide sink; tracing requires --jobs 1");
-            }
-            opts.jobs = 1;
         }
         return opts;
     }
@@ -262,6 +256,7 @@ class CellRunner
         : CellRunner(opts.statsJsonPath, opts.jobs)
     {
         _statsJsonlPath = opts.statsJsonlPath;
+        _observe = opts.observe;
     }
 
     CellRunner(std::string stats_json_path, unsigned jobs)
@@ -358,9 +353,12 @@ class CellRunner
         if (todo.empty())
             return;
         sweep::Executor pool(_jobs);
+        observe::CellText text(_observe.debugOut, todo.size(),
+                               pool.jobs() > 1 && todo.size() > 1);
         pool.forEach(todo.size(), [&](std::size_t idx) {
-            runCell(*todo[idx]);
+            runCell(*todo[idx], text[idx]);
         });
+        text.flush();
     }
 
     RunResult
@@ -370,23 +368,26 @@ class CellRunner
         auto it = _cache.find(key);
         if (it != _cache.end())
             return it->second;
-        return runCell(spec);
+        return runCell(spec, _observe.debugOut);
     }
 
   private:
-    /** Run one cell and archive it (called from warm() workers and
-     *  from the main thread on cache misses). */
+    /** Run one cell, printing its debug text to @p debug_out
+     *  (standard error when null), and archive it (called from
+     *  warm() workers and from the main thread on cache misses). */
     RunResult
-    runCell(const RunSpec &spec)
+    runCell(const RunSpec &spec, std::ostream *debug_out)
     {
         std::string key = cellKey(spec);
+        observe::Options obs = _observe;
+        obs.debugOut = debug_out;
         RunResult result;
         std::string json;
         std::string jsonl;
         if (_statsJsonPath.empty() && _statsJsonlPath.empty()) {
-            result = runOne(spec);
+            result = runOne(spec, obs);
         } else {
-            PreparedRun run(spec);
+            PreparedRun run(spec, obs);
             run.system.statGroup().setMeta("scenario", key);
             result = run.system.run();
             if (!_statsJsonPath.empty()) {
@@ -419,6 +420,7 @@ class CellRunner
     std::string _statsJsonPath;
     std::string _statsJsonlPath;
     unsigned _jobs = 0;
+    observe::Options _observe;
     std::map<std::string, std::string> _cellJson;
     std::map<std::string, std::string> _cellJsonl;
 };

@@ -54,17 +54,15 @@ main(int argc, char **argv)
     // This figure needs each cell's full time series, so keep the
     // simulated systems alive: run them across the pool, print after.
     const std::vector<std::string> figures{"sgemm", "ssyrk"};
-    std::vector<std::unique_ptr<PreparedRun>> runs(figures.size());
-    sweep::Executor pool(opts.jobs);
-    pool.forEach(figures.size(), [&](std::size_t idx) {
+    std::vector<RunSpec> specs;
+    for (const auto &figure : figures) {
         // Sample every 20k cycles, downsample to ~24 printed points.
-        RunSpec spec = opts.spec(figures[idx], DesignPoint::D1_1P2L);
-        spec.system.occupancySamplePeriod = 20000;
-        runs[idx] = std::make_unique<PreparedRun>(spec);
-        runs[idx]->system.run();
-    });
+        specs.push_back(opts.spec(figure, DesignPoint::D1_1P2L));
+        specs.back().system.occupancySamplePeriod = 20000;
+    }
+    auto runs = sweep::runKept(specs, opts.jobs, opts.observe);
     for (std::size_t f = 0; f < figures.size(); ++f)
-        printSeries(*runs[f], figures[f]);
+        printSeries(*runs[f].run, figures[f]);
     std::cout << "\nPaper: sgemm's column share is small and steady; "
                  "ssyrk's rises then falls across its phases.\n";
     return 0;

@@ -13,17 +13,17 @@
  *   mdacache_sim --all --design 1P2L_SameSet --paper
  */
 
-#include <cstring>
+#include <charconv>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
-#include <memory>
 #include <vector>
 
+#include "harness/cli.hh"
+#include "harness/observe.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
 #include "harness/sweep.hh"
-#include "sim/debug.hh"
-#include "sim/trace_event.hh"
 
 using namespace mda;
 
@@ -41,7 +41,7 @@ usage()
         "                      (zoo: kv spmv stream)\n"
         "  --all               run every paper workload\n"
         "  --jobs <N>          sweep worker threads (0 = all cores;\n"
-        "                      default 0; tracing forces 1)\n"
+        "                      default 0)\n"
         "  --design <name>     1P1L | 1P2L | 1P2L_SameSet | 2P2L |\n"
         "                      2P2L_Dense\n"
         "  --n <dim>           input dimension (default 128)\n"
@@ -74,19 +74,21 @@ usage()
         "                      rest (estimates + 95% CIs in meta)\n"
         "  --sample-window <ops>  timed ops per measured window\n"
         "  --trace-out <path>  record a Chrome trace-event JSON file\n"
-        "                      (load in ui.perfetto.dev)\n"
-        "  --trace-max-events <n>  trace buffer bound (default 1M)\n"
+        "                      (load in ui.perfetto.dev; workload i\n"
+        "                      of the sweep is process i + 1)\n"
+        "  --trace-max-events <n>  trace buffer bound per workload\n"
+        "                      (default 1M)\n"
         "  --debug-flags <f,g> enable debug tracing (also via the\n"
         "                      MDA_DEBUG_FLAGS environment variable)\n"
         "  --list-debug-flags  print known debug flags and exit\n";
 }
 
 std::uint64_t
-parseBytes(const std::string &text)
+parseBytes(const std::string &option, const std::string &text)
 {
-    char suffix = text.back();
     std::uint64_t mult = 1;
     std::string digits = text;
+    char suffix = text.empty() ? '\0' : text.back();
     if (suffix == 'K' || suffix == 'k') {
         mult = 1024;
         digits.pop_back();
@@ -94,7 +96,13 @@ parseBytes(const std::string &text)
         mult = 1024 * 1024;
         digits.pop_back();
     }
-    return static_cast<std::uint64_t>(std::stod(digits) *
+    double value = 0.0;
+    auto [ptr, ec] = std::from_chars(
+        digits.data(), digits.data() + digits.size(), value);
+    if (digits.empty() || ec != std::errc() ||
+        ptr != digits.data() + digits.size() || value < 0)
+        fatal("bad value for %s: '%s'", option.c_str(), text.c_str());
+    return static_cast<std::uint64_t>(value *
                                       static_cast<double>(mult));
 }
 
@@ -123,11 +131,11 @@ main(int argc, char **argv)
     bool all = false;
     bool dump_stats = false;
     unsigned jobs = 0;
-    bool jobs_given = false;
     std::string stats_json_path;
     std::string stats_jsonl_path;
     std::string trace_out_path;
-    std::size_t trace_max_events = trace::EventLog::defaultCapacity;
+    observe::Options obs;
+    obs.debugFlags = observe::environmentDebugFlags();
 
     for (int a = 1; a < argc; ++a) {
         std::string arg = argv[a];
@@ -141,24 +149,23 @@ main(int argc, char **argv)
         } else if (arg == "--all") {
             all = true;
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(std::stoul(next()));
-            jobs_given = true;
+            jobs = cli::parseNumber<unsigned>(arg, next());
         } else if (arg == "--design") {
             spec.system.design = parseDesign(next());
         } else if (arg == "--n") {
-            spec.n = std::stoll(next());
+            spec.n = cli::parseNumber<std::int64_t>(arg, next());
         } else if (arg == "--paper") {
             spec.n = 512;
             spec.autoScaleCaches = false;
         } else if (arg == "--llc") {
-            spec.system.l3Size = parseBytes(next());
+            spec.system.l3Size = parseBytes(arg, next());
         } else if (arg == "--two-level") {
             spec.system.threeLevel = false;
         } else if (arg == "--fast-mem") {
             spec.system.memTiming = MemTimingParams::sttFast();
         } else if (arg == "--write-penalty") {
             spec.system.tileWritePenalty =
-                static_cast<Cycles>(std::stoull(next()));
+                cli::parseNumber<Cycles>(arg, next());
         } else if (arg == "--no-scale") {
             spec.autoScaleCaches = false;
         } else if (arg == "--check") {
@@ -181,23 +188,27 @@ main(int argc, char **argv)
             spec.system.telemetry = true;
         } else if (arg == "--stats-interval") {
             spec.system.statsInterval =
-                static_cast<Tick>(std::stoull(next()));
+                cli::parseNumber<Tick>(arg, next());
         } else if (arg == "--stats-jsonl") {
             stats_jsonl_path = next();
         } else if (arg == "--sample-period") {
-            spec.system.samplePeriod = std::stoull(next());
+            spec.system.samplePeriod =
+                cli::parseNumber<std::uint64_t>(arg, next());
         } else if (arg == "--sample-window") {
-            spec.system.sampleWindow = std::stoull(next());
+            spec.system.sampleWindow =
+                cli::parseNumber<std::uint64_t>(arg, next());
         } else if (arg == "--trace-out") {
             trace_out_path = next();
+            obs.trace = true;
         } else if (arg == "--trace-max-events") {
-            trace_max_events = std::stoull(next());
+            obs.traceMaxEvents =
+                cli::parseNumber<std::size_t>(arg, next());
         } else if (arg == "--debug-flags") {
-            debug::setFlags(next());
+            observe::addDebugFlags(next(), obs.debugFlags);
         } else if (arg == "--list-debug-flags") {
-            for (const auto *flag : debug::allFlags()) {
-                std::cout << std::left << std::setw(12) << flag->name()
-                          << flag->desc() << "\n";
+            for (const auto &flag : observe::debugFlagInfo) {
+                std::cout << std::left << std::setw(12) << flag.name
+                          << flag.desc << "\n";
             }
             return 0;
         } else if (arg == "--help" || arg == "-h") {
@@ -214,21 +225,6 @@ main(int argc, char **argv)
         all ? workloads::workloadNames()
             : std::vector<std::string>{spec.workload};
 
-    // Tracing and debug flags record into process-wide sinks, so a
-    // traced sweep is restricted to one worker: refuse an explicit
-    // parallel request, downgrade an implicit one.
-    bool tracing = !trace_out_path.empty() || obs::hot;
-    if (tracing) {
-        if (jobs_given && sweep::resolveJobs(jobs) > 1) {
-            fatal("--trace-out/--debug-flags write to a process-wide "
-                  "sink; tracing requires --jobs 1");
-        }
-        jobs = 1;
-    }
-
-    if (!trace_out_path.empty())
-        trace::log().open(trace_out_path, trace_max_events);
-
     std::ofstream stats_json;
     if (!stats_json_path.empty()) {
         stats_json.open(stats_json_path);
@@ -244,26 +240,20 @@ main(int argc, char **argv)
     // Run the sweep across the pool, keeping each prepared system
     // until its stats are emitted; all output is written afterwards
     // in workload order, so it is identical for every job count.
-    std::vector<std::unique_ptr<PreparedRun>> runs(list.size());
-    std::vector<RunResult> results(list.size());
-    {
-        sweep::Executor pool(jobs);
-        pool.forEach(list.size(), [&](std::size_t idx) {
-            RunSpec one = spec;
-            one.workload = list[idx];
-            runs[idx] = std::make_unique<PreparedRun>(one);
-            runs[idx]->system.statGroup().setMeta("scenario",
-                                                  one.workload);
-            results[idx] = runs[idx]->system.run();
-        });
-    }
+    std::vector<RunSpec> specs(list.size(), spec);
+    for (std::size_t idx = 0; idx < list.size(); ++idx)
+        specs[idx].workload = list[idx];
+    std::vector<sweep::KeptRun> runs = sweep::runKept(specs, jobs, obs);
+    for (std::size_t idx = 0; idx < list.size(); ++idx)
+        runs[idx].run->system.statGroup().setMeta("scenario", list[idx]);
 
     report::Table table({"workload", "design", "cycles", "L1 hit",
                          "LLC accesses", "mem bytes", "check"});
     bool first_json = true;
     for (std::size_t idx = 0; idx < list.size(); ++idx) {
         const auto &name = list[idx];
-        const RunResult &result = results[idx];
+        const RunResult &result = runs[idx].result;
+        System &system = runs[idx].run->system;
         table.addRow({name, designName(spec.system.design),
                       std::to_string(result.cycles),
                       report::pct(result.l1HitRate),
@@ -274,13 +264,13 @@ main(int argc, char **argv)
                           : "-"});
         if (dump_stats) {
             report::banner(name + " statistics");
-            runs[idx]->system.statGroup().dump(std::cout);
+            system.statGroup().dump(std::cout);
         }
         if (stats_json.is_open()) {
             stats_json << (first_json ? "\n" : ",\n") << "\"" << name
                        << "\": ";
             first_json = false;
-            runs[idx]->system.statGroup().dumpJson(stats_json);
+            system.statGroup().dumpJson(stats_json);
         }
     }
     if (stats_json.is_open())
@@ -293,10 +283,20 @@ main(int argc, char **argv)
             fatal("cannot write stats JSONL: %s",
                   stats_jsonl_path.c_str());
         for (auto &run : runs)
-            jsonl << run->system.intervalJson();
+            jsonl << run.run->system.intervalJson();
     }
-    if (trace::on())
-        trace::log().close();
+    if (!trace_out_path.empty()) {
+        // Best effort, like a trace viewer's export: an unwritable
+        // path warns and the run still succeeds.
+        std::vector<const trace::EventLog *> logs;
+        for (auto &run : runs)
+            logs.push_back(run.run->system.traceLog());
+        std::ofstream trace_file(trace_out_path);
+        if (!trace_file)
+            warn("cannot write trace file: %s", trace_out_path.c_str());
+        else
+            trace::writeJson(trace_file, logs);
+    }
     report::banner("results");
     table.print();
     return 0;

@@ -2,9 +2,6 @@
 
 #include <bit>
 
-#include "sim/debug.hh"
-#include "sim/trace_event.hh"
-
 namespace mda
 {
 
@@ -60,12 +57,17 @@ CacheBase::regProbes(probe::ProbeManager &pm)
 {
     pm.reg(name() + ".accepted", &_probes.accepted);
     pm.reg(name() + ".deferred", &_probes.deferred);
+    pm.reg(name() + ".hit", &_probes.hit);
+    pm.reg(name() + ".miss", &_probes.miss);
     pm.reg(name() + ".mshrQueued", &_probes.mshrQueued);
+    pm.reg(name() + ".mshrRetire", &_probes.mshrRetire);
+    pm.reg(name() + ".mshrOccupancy", &_probes.mshrOccupancy);
     pm.reg(name() + ".fillSent", &_probes.fillSent);
     pm.reg(name() + ".fillRecv", &_probes.fillRecv);
+    pm.reg(name() + ".evict", &_probes.evict);
     pm.reg(name() + ".writebackOut", &_probes.writebackOut);
     pm.reg(name() + ".responded", &_probes.responded);
-    pm.reg(name() + ".writeValidate", &_probes.writeValidate);
+    pm.reg(name() + ".presentWords", &_probes.presentWords);
     pm.reg(name() + ".dupAction", &_probes.dupAction);
 }
 
@@ -116,18 +118,6 @@ CacheBase::tryRequest(PacketPtr &pkt)
         _upstreamBlocked = true;
         return false;
     }
-    if (MDA_OBSERVED()) {
-        DPRINTF(Cache, "accept %s %s %#llx id %llu",
-                cmdName(pkt->cmd), pkt->isLine() ? "line" : "word",
-                (unsigned long long)pkt->addr,
-                (unsigned long long)pkt->id);
-        // Packet lifetime at this level: opened here, closed when the
-        // response leaves (respond) — writebacks have no response.
-        if (trace::on() && pkt->cmd != MemCmd::Writeback) {
-            trace::log().asyncBegin(name(), cmdName(pkt->cmd),
-                                    pkt->id, curTick());
-        }
-    }
     MDA_PROBE(_probes.accepted,
               probe::PacketEvent{pkt.get(), curTick(), 0});
     // Dispatch after the tag-lookup latency. Constant latency plus
@@ -162,12 +152,8 @@ CacheBase::recvResponse(PacketPtr pkt)
     _fillBytes += std::popcount(pkt->wordMask) * wordBytes;
     MDA_PROBE(_probes.fillRecv,
               probe::PacketEvent{pkt.get(), curTick(), 0});
-    DPRINTF(Cache, "fill %#llx (%s)",
-            (unsigned long long)pkt->addr,
-            orientName(pkt->orient));
     handleFill(std::move(pkt));
-    if (MDA_OBSERVED())
-        traceMshrOccupancy();
+    sampleMshrOccupancy();
     replayDeferred();
     maybeUnblockUpstream();
 }
@@ -184,9 +170,6 @@ CacheBase::defer(PacketPtr pkt)
     ++_deferrals;
     MDA_PROBE(_probes.deferred,
               probe::PacketEvent{pkt.get(), curTick(), 0});
-    DPRINTF(MSHR, "defer %s %#llx id %llu (overlap/full)",
-            cmdName(pkt->cmd), (unsigned long long)pkt->addr,
-            (unsigned long long)pkt->id);
     _deferred.push_back(std::move(pkt));
 }
 
@@ -212,10 +195,6 @@ CacheBase::allocateMiss(PacketPtr pkt, const OrientedLine &line,
         ++_mshrCoalesced;
         MDA_PROBE(_probes.mshrQueued,
                   probe::PacketEvent{pkt.get(), curTick(), 0});
-        DPRINTF(MSHR, "coalesce id %llu onto %#llx (%zu targets)",
-                (unsigned long long)pkt->id,
-                (unsigned long long)pkt->addr,
-                entry->targets.size() + 1);
         entry->targets.push_back(std::move(pkt));
         return;
     }
@@ -228,12 +207,7 @@ CacheBase::allocateMiss(PacketPtr pkt, const OrientedLine &line,
     fresh.pc = pkt->pc;
     MDA_PROBE(_probes.mshrQueued,
               probe::PacketEvent{pkt.get(), curTick(), 0});
-    if (MDA_OBSERVED()) {
-        DPRINTF(MSHR, "alloc %#llx (%s) for id %llu",
-                (unsigned long long)pkt->addr, orientName(line.orient),
-                (unsigned long long)pkt->id);
-        traceMshrOccupancy();
-    }
+    sampleMshrOccupancy();
     fresh.targets.push_back(std::move(pkt));
     trySendQueues();
 }
@@ -247,7 +221,7 @@ CacheBase::issuePrefetch(const OrientedLine &line)
         return;
     _mshr.alloc(line, true, curTick());
     ++_prefetchesIssued;
-    traceMshrOccupancy();
+    sampleMshrOccupancy();
     trySendQueues();
 }
 
@@ -273,10 +247,6 @@ CacheBase::respond(PacketPtr pkt, Cycles delay)
     // requester will (curTick() + delay).
     MDA_PROBE(_probes.responded,
               probe::PacketEvent{pkt.get(), curTick(), delay});
-    if (MDA_UNLIKELY(trace::on())) {
-        trace::log().asyncEnd(name(), cmdName(pkt->cmd), pkt->id,
-                              curTick() + delay);
-    }
     auto *raw = pkt.release();
     eventq().scheduleAfter(
         delay,

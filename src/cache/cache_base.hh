@@ -25,11 +25,9 @@
 
 #include "cache_config.hh"
 #include "mshr.hh"
-#include "sim/debug.hh"
 #include "sim/port.hh"
 #include "sim/probe.hh"
 #include "sim/sim_object.hh"
-#include "sim/trace_event.hh"
 
 namespace mda
 {
@@ -118,7 +116,7 @@ class CacheBase : public SimObject, public MemDevice, public MemClient
     void respond(PacketPtr pkt, Cycles delay);
 
     /** respond() for demand hits: also samples the hit-latency
-     *  distribution and closes the packet's trace slice. Inline:
+     *  distribution and fires the hit probe. Inline:
      *  runs once per hit, the hottest path in the simulator, so the
      *  near-constant hit latency is decimated 1-in-16 (misses, whose
      *  round trips actually vary, are sampled exactly). */
@@ -130,8 +128,8 @@ class CacheBase : public SimObject, public MemDevice, public MemClient
             _hitLatency.sample(
                 static_cast<double>(_config.tagLatency + delay));
         }
-        if (MDA_UNLIKELY(trace::on()))
-            trace::log().instant(name(), "hit", curTick());
+        MDA_PROBE(_probes.hit,
+                  probe::PacketEvent{pkt.get(), curTick(), delay});
         respond(std::move(pkt), delay);
     }
 
@@ -149,14 +147,13 @@ class CacheBase : public SimObject, public MemDevice, public MemClient
         }
     }
 
-    /** Emit the MSHR-occupancy counter sample (when tracing). */
+    /** Sample the MSHR occupancy for its probe. */
     void
-    traceMshrOccupancy()
+    sampleMshrOccupancy()
     {
-        if (MDA_UNLIKELY(trace::on())) {
-            trace::log().counter(name(), "mshrOccupancy", curTick(),
-                                 static_cast<double>(_mshr.size()));
-        }
+        MDA_PROBE(_probes.mshrOccupancy,
+                  probe::CounterEvent{
+                      curTick(), static_cast<double>(_mshr.size())});
     }
 
     /** Re-process all deferred packets (after a fill completes). */
@@ -172,9 +169,9 @@ class CacheBase : public SimObject, public MemDevice, public MemClient
     /** Resources left for a new request? */
     bool canAccept() const;
 
-    /** Packet-lifecycle probe points (see probe.hh's catalog). The
-     *  subclass-specific points (writeValidate, dupAction) live here
-     *  too so every level exposes the same catalog. */
+    /** Probe points (see probe.hh's catalog). The subclass-specific
+     *  points (presentWords, dupAction) live here too so every level
+     *  exposes the same catalog. */
     probe::CacheProbes _probes;
 
     CacheConfig _config;

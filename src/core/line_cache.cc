@@ -4,9 +4,6 @@
 #include <cstring>
 #include <map>
 
-#include "sim/debug.hh"
-#include "sim/trace_event.hh"
-
 namespace mda
 {
 
@@ -160,13 +157,13 @@ void
 LineCache::evict(StorageSlot slot)
 {
     ++_evictions;
-    if (MDA_OBSERVED()) {
-        OrientedLine line = _storage.line(slot);
-        DPRINTF(Cache, "evict %s line %#llx%s",
-                orientName(line.orient),
-                (unsigned long long)line.baseAddr(),
-                _storage.dirty(slot) ? " (dirty)" : "");
-    }
+    MDA_PROBE(_probes.evict,
+              probe::EvictEvent{
+                  _storage.line(slot).baseAddr(),
+                  _storage.line(slot).orient, lineWords,
+                  static_cast<unsigned>(
+                      std::popcount(_storage.dirtyMask(slot))),
+                  curTick()});
     writebackDirty(slot);
     _storage.invalidate(slot);
 }
@@ -178,32 +175,15 @@ LineCache::dupActions(StorageSlot slot, const OrientedLine &cross,
     if (_storage.dirty(slot)) {
         ++_dupWritebacks;
         MDA_PROBE(_probes.dupAction,
-                  probe::CrossingEvent{word, true, false, curTick()});
-        if (MDA_OBSERVED()) {
-            DPRINTF(Coherence,
-                    "dup writeback: dirty crossing %s line %#llx "
-                    "for word %#llx",
-                    orientName(cross.orient),
-                    (unsigned long long)cross.baseAddr(),
-                    (unsigned long long)word);
-            if (trace::on()) {
-                trace::log().counter(name(), "dupWritebacks",
-                                     curTick(),
-                                     _dupWritebacks.value());
-            }
-        }
+                  probe::CrossingEvent{word, cross, true, false,
+                                       curTick()});
         writebackDirty(slot);
     }
     if (written) {
         ++_dupEvictions;
         MDA_PROBE(_probes.dupAction,
-                  probe::CrossingEvent{word, false, true, curTick()});
-        DPRINTF(Coherence,
-                "dup evict: crossing %s line %#llx copy of "
-                "written word %#llx",
-                orientName(cross.orient),
-                (unsigned long long)cross.baseAddr(),
-                (unsigned long long)word);
+                  probe::CrossingEvent{word, cross, false, true,
+                                       curTick()});
         _storage.invalidate(slot);
     }
 }
@@ -380,9 +360,6 @@ LineCache::handleDemand(PacketPtr pkt)
         if (mis_oriented)
             ++_misOrientedHits;
         (is_write ? _writeHits : _readHits) += 1;
-        DPRINTF(Cache, "%s hit %#llx%s", is_write ? "write" : "read",
-                (unsigned long long)pkt->addr,
-                mis_oriented ? " (mis-oriented)" : "");
         notePrefetchUse(entry);
         _storage.touch(entry);
         if (is_write) {
@@ -423,9 +400,6 @@ LineCache::handleDemand(PacketPtr pkt)
             ++_demandHits;
             ++_vectorHits;
             ++_readHits;
-            DPRINTF(Cache, "gather hit %#llx (%s) from crossing lines",
-                    (unsigned long long)pkt->addr,
-                    orientName(line.orient));
             for (unsigned k = 0; k < lineWords; ++k) {
                 if (!(pkt->wordMask & (1u << k)))
                     continue;
@@ -459,14 +433,7 @@ LineCache::handleDemand(PacketPtr pkt)
     if (is_line)
         ++_vectorMisses;
     (is_write ? _writeMisses : _readMisses) += 1;
-    if (MDA_OBSERVED()) {
-        DPRINTF(Cache, "%s miss %#llx (%s)",
-                is_write ? "write" : "read",
-                (unsigned long long)pkt->addr,
-                orientName(line.orient));
-        if (trace::on())
-            trace::log().instant(name(), "miss", curTick());
-    }
+    MDA_PROBE(_probes.miss, probe::PacketEvent{pkt.get(), curTick(), 0});
 
     // Coalesce onto an in-flight fill of the same line.
     if (inflight) {
@@ -759,8 +726,8 @@ LineCache::handleFill(PacketPtr pkt)
     mda_assert(pkt->wordMask == 0xff, "partial line fill");
     MshrEntry retired = _mshr.retire(line);
     noteMissLatency(retired);
-    DPRINTF(MSHR, "retire %#llx, %zu targets",
-            (unsigned long long)pkt->addr, retired.targets.size());
+    MDA_PROBE(_probes.mshrRetire,
+              probe::PacketEvent{pkt.get(), curTick(), 0});
     auto targets = std::move(retired.targets);
 
     // One sweep picks the victim and asserts the line is absent.

@@ -2,9 +2,6 @@
 
 #include <bit>
 
-#include "sim/debug.hh"
-#include "sim/trace_event.hh"
-
 namespace mda
 {
 
@@ -38,10 +35,9 @@ TileCache::notePresenceDelta(std::int64_t delta)
     _presentWords = static_cast<std::uint64_t>(
         static_cast<std::int64_t>(_presentWords) + delta);
     _wordsPresent = static_cast<double>(_presentWords);
-    if (MDA_UNLIKELY(trace::on())) {
-        trace::log().counter(name(), "presentWords", curTick(),
-                             static_cast<double>(_presentWords));
-    }
+    MDA_PROBE(_probes.presentWords,
+              probe::CounterEvent{
+                  curTick(), static_cast<double>(_presentWords)});
 }
 
 std::vector<std::string>
@@ -148,11 +144,12 @@ TileCache::evictFrame(StorageSlot slot)
     std::uint64_t tile = _storage.tile(slot);
     std::uint64_t word_valid = _storage.wordValid(slot);
     std::uint64_t word_dirty = _storage.wordDirty(slot);
-    DPRINTF(TileCache, "evict frame tile %llu (%d words present, "
-            "%d dirty)",
-            (unsigned long long)tile,
-            std::popcount(word_valid),
-            std::popcount(word_dirty));
+    MDA_PROBE(_probes.evict,
+              probe::EvictEvent{
+                  tileBase(tile), Orientation::Row,
+                  static_cast<unsigned>(std::popcount(word_valid)),
+                  static_cast<unsigned>(std::popcount(word_dirty)),
+                  curTick()});
     notePresenceDelta(-std::popcount(word_valid));
     // Per-row partial writebacks of the dirty words; rows with no
     // dirty words move nothing. Words never filled are never written
@@ -267,12 +264,6 @@ TileCache::handleDemand(PacketPtr pkt)
         (had_words ? _demandHits : _demandMisses) += 1;
         if (pkt->isLine())
             (had_words ? _vectorHits : _vectorMisses) += 1;
-        DPRINTF(TileCache, "write %s %#llx tile %llu (validate)",
-                had_words ? "hit" : "miss",
-                (unsigned long long)pkt->addr,
-                (unsigned long long)tile);
-        MDA_PROBE(_probes.writeValidate,
-                  probe::PacketEvent{pkt.get(), curTick(), 0});
         performWrite(entry, *pkt);
         _storage.touch(entry);
         Cycles delay =
@@ -280,8 +271,8 @@ TileCache::handleDemand(PacketPtr pkt)
         if (had_words) {
             respondHit(std::move(pkt), delay);
         } else {
-            if (MDA_UNLIKELY(trace::on()))
-                trace::log().instant(name(), "miss", curTick());
+            MDA_PROBE(_probes.miss,
+                      probe::PacketEvent{pkt.get(), curTick(), 0});
             respond(std::move(pkt), delay);
         }
         return;
@@ -294,9 +285,6 @@ TileCache::handleDemand(PacketPtr pkt)
         ++_readHits;
         if (pkt->isLine())
             ++_vectorHits;
-        DPRINTF(TileCache, "read hit %#llx tile %llu",
-                (unsigned long long)pkt->addr,
-                (unsigned long long)tile);
         copyOut(entry, *pkt);
         _storage.touch(entry);
         Cycles delay = _config.hitLatency() + pkt->extraLatency;
@@ -328,14 +316,7 @@ TileCache::handleDemand(PacketPtr pkt)
     ++_readMisses;
     if (pkt->isLine())
         ++_vectorMisses;
-    if (MDA_OBSERVED()) {
-        DPRINTF(TileCache,
-                "read miss %#llx tile %llu (sparse line fill)",
-                (unsigned long long)pkt->addr,
-                (unsigned long long)tile);
-        if (trace::on())
-            trace::log().instant(name(), "miss", curTick());
-    }
+    MDA_PROBE(_probes.miss, probe::PacketEvent{pkt.get(), curTick(), 0});
 
     bool fresh_entry = (inflight == nullptr);
     allocateMiss(std::move(pkt), line, inflight);
@@ -522,8 +503,8 @@ TileCache::handleFill(PacketPtr pkt)
     mda_assert(pkt->wordMask == 0xff, "partial line fill");
     MshrEntry retired = _mshr.retire(line);
     noteMissLatency(retired);
-    DPRINTF(MSHR, "retire %#llx, %zu targets",
-            (unsigned long long)pkt->addr, retired.targets.size());
+    MDA_PROBE(_probes.mshrRetire,
+              probe::PacketEvent{pkt.get(), curTick(), 0});
     auto targets = std::move(retired.targets);
 
     StorageSlot entry = find(line.tile());

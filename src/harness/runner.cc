@@ -27,7 +27,8 @@ maybeCompile(const RunSpec &spec)
 
 std::unique_ptr<System>
 buildSystem(const RunSpec &spec,
-            const std::optional<compiler::CompiledKernel> &kernel)
+            const std::optional<compiler::CompiledKernel> &kernel,
+            const observe::Options &obs)
 {
     const SystemConfig &cfg = spec.system;
 
@@ -61,14 +62,15 @@ buildSystem(const RunSpec &spec,
 
     SystemConfig sys =
         spec.autoScaleCaches ? cfg.scaledForInput(spec.n) : cfg;
-    return std::make_unique<System>(sys, std::move(source));
+    return std::make_unique<System>(sys, std::move(source), obs);
 }
 
 } // namespace
 
-PreparedRun::PreparedRun(const RunSpec &spec)
+PreparedRun::PreparedRun(const RunSpec &spec,
+                         const observe::Options &obs)
     : kernel(maybeCompile(spec)),
-      _system(buildSystem(spec, kernel)),
+      _system(buildSystem(spec, kernel, obs)),
       system(*_system)
 {}
 

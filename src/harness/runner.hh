@@ -12,6 +12,7 @@
 #include <optional>
 #include <string>
 
+#include "observe.hh"
 #include "system.hh"
 #include "workloads/kernels.hh"
 
@@ -47,7 +48,9 @@ struct RunSpec
 class PreparedRun
 {
   public:
-    explicit PreparedRun(const RunSpec &spec);
+    /** Build the system for @p spec, observed as @p obs asks. */
+    explicit PreparedRun(const RunSpec &spec,
+                         const observe::Options &obs = {});
 
     static workloads::WorkloadParams
     workloadParams(const RunSpec &spec)
@@ -71,9 +74,9 @@ class PreparedRun
 
 /** Compile, build, run, distill. */
 inline RunResult
-runOne(const RunSpec &spec)
+runOne(const RunSpec &spec, const observe::Options &obs = {})
 {
-    PreparedRun run(spec);
+    PreparedRun run(spec, obs);
     return run.system.run();
 }
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "sim/debug.hh"
 #include "sim/logging.hh"
-#include "sim/trace_event.hh"
 
 namespace mda::sweep
 {
@@ -76,11 +74,6 @@ Executor::forEach(std::size_t count,
 {
     if (count == 0)
         return;
-    if (_jobs > 1 && obs::hot) {
-        fatal("tracing records into a process-wide log; rerun with "
-              "--jobs 1 (or unset --trace-out/--debug-flags/"
-              "MDA_DEBUG_FLAGS) for traced sweeps");
-    }
 
     std::exception_ptr first_error;
     {
@@ -116,6 +109,24 @@ runAll(const std::vector<RunSpec> &specs, unsigned jobs)
         results[idx] = runOne(specs[idx]);
     });
     return results;
+}
+
+std::vector<KeptRun>
+runKept(const std::vector<RunSpec> &specs, unsigned jobs,
+        const observe::Options &obs)
+{
+    std::vector<KeptRun> kept(specs.size());
+    Executor pool(jobs);
+    observe::CellText text(obs.debugOut, specs.size(),
+                           pool.jobs() > 1 && specs.size() > 1);
+    pool.forEach(specs.size(), [&](std::size_t idx) {
+        observe::Options cell = obs;
+        cell.debugOut = text[idx];
+        kept[idx].run = std::make_unique<PreparedRun>(specs[idx], cell);
+        kept[idx].result = kept[idx].run->system.run();
+    });
+    text.flush();
+    return kept;
 }
 
 } // namespace mda::sweep

@@ -12,12 +12,10 @@
  * Determinism contract: a cell's result depends only on its RunSpec
  * (including its seed), never on the job count or completion order.
  * Callers keep that contract by deriving every per-cell seed from the
- * spec, not from shared counters or wall-clock state.
- *
- * Tracing (--trace-out, --debug-flags) records into process-wide
- * sinks and is therefore restricted to --jobs 1; forEach() refuses a
- * parallel sweep while an observer is attached rather than interleave
- * trace lines from unrelated cells.
+ * spec, not from shared counters or wall-clock state. Observation
+ * (debug text, Chrome traces) is per System too, so traced sweeps run
+ * at any job count; runKept() writes the cells' debug text in cell
+ * order.
  */
 
 #ifndef MDA_HARNESS_SWEEP_HH
@@ -28,11 +26,13 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "observe.hh"
 #include "runner.hh"
 
 namespace mda::sweep
@@ -65,9 +65,8 @@ class Executor
      * same exception a sequential loop would surface first, so
      * propagation is deterministic across job counts.
      *
-     * Refuses (fatal) a parallel run while tracing or debug flags are
-     * active: those record into process-wide sinks. Not reentrant;
-     * calling forEach from inside a task deadlocks by design.
+     * Not reentrant; calling forEach from inside a task deadlocks by
+     * design.
      */
     void forEach(std::size_t count,
                  const std::function<void(std::size_t)> &fn);
@@ -97,6 +96,24 @@ class Executor
  *  returned in input order. */
 std::vector<RunResult> runAll(const std::vector<RunSpec> &specs,
                               unsigned jobs = 0);
+
+/** A sweep cell kept alive after its run, for reporting. */
+struct KeptRun
+{
+    std::unique_ptr<PreparedRun> run;
+    RunResult result;
+};
+
+/**
+ * Build and run every spec through a pool of @p jobs workers, each
+ * cell's System observed as @p obs asks, and keep the cells in input
+ * order. The cells' debug text reaches obs.debugOut (standard error
+ * when null) in input order at any job count; each cell's trace is
+ * its System's traceLog().
+ */
+std::vector<KeptRun> runKept(const std::vector<RunSpec> &specs,
+                             unsigned jobs,
+                             const observe::Options &obs = {});
 
 } // namespace mda::sweep
 

@@ -15,12 +15,15 @@ System::levelName(std::size_t idx)
 }
 
 System::System(const SystemConfig &config,
-               const compiler::CompiledKernel &kernel)
-    : System(config, std::make_unique<trace::GeneratorSource>(kernel))
+               const compiler::CompiledKernel &kernel,
+               const observe::Options &obs)
+    : System(config, std::make_unique<trace::GeneratorSource>(kernel),
+             obs)
 {}
 
 System::System(const SystemConfig &config,
-               std::unique_ptr<trace::TraceSource> source)
+               std::unique_ptr<trace::TraceSource> source,
+               const observe::Options &obs)
     : _config(config), _source(std::move(source))
 {
     if (config.sampling()) {
@@ -75,13 +78,27 @@ System::System(const SystemConfig &config,
         _memory->setPacketPool(&_pool);
     }
 
-    // Every component exposes its packet-lifecycle probe points
-    // unconditionally; with no listeners each fire site is a single
-    // predicted-false branch.
+    // Every component exposes its probe points unconditionally; with
+    // no listeners each fire site is a single predicted-false branch.
+    _eq.regProbes(_probes);
     _cpu->regProbes(_probes);
     for (auto &cache : _caches)
         cache->regProbes(_probes);
     _memory->regProbes(_probes);
+
+    if (obs.debugFlags != 0) {
+        std::vector<std::string> tile_levels;
+        for (std::size_t n = 0; n < _levels.size(); ++n) {
+            if (dynamic_cast<TileCache *>(_levels[n]))
+                tile_levels.push_back(levelName(n));
+        }
+        _debug = std::make_unique<observe::DebugPrinter>(
+            _probes, obs.debugFlags, obs.debugOut, tile_levels);
+    }
+    if (obs.trace) {
+        _trace = std::make_unique<observe::TraceRecorder>(
+            _probes, obs.traceMaxEvents);
+    }
 
     if (config.telemetry) {
         std::vector<std::string> telem_levels;

@@ -13,6 +13,7 @@
 #include "core/line_cache.hh"
 #include "core/tile_cache.hh"
 #include "mem/mda_memory.hh"
+#include "observe.hh"
 #include "sim/interval_stats.hh"
 #include "sim/packet_pool.hh"
 #include "sim/probe.hh"
@@ -47,12 +48,16 @@ class System
     /** Convenience: live generation from @p kernel (must outlive the
      *  System). */
     System(const SystemConfig &config,
-           const compiler::CompiledKernel &kernel);
+           const compiler::CompiledKernel &kernel,
+           const observe::Options &obs = {});
 
     /** Drive the CPU from an arbitrary operation stream: a direct
-     *  workload emitter, a capturing tee, or a trace-file replay. */
+     *  workload emitter, a capturing tee, or a trace-file replay.
+     *  @p obs selects the debug text and Chrome trace this System
+     *  records. */
     System(const SystemConfig &config,
-           std::unique_ptr<trace::TraceSource> source);
+           std::unique_ptr<trace::TraceSource> source,
+           const observe::Options &obs = {});
 
     /** Run to completion and distill the results. With
      *  SystemConfig::sampling() set, dispatches to the SMARTS-style
@@ -66,8 +71,16 @@ class System
     MdaMemory &memory() { return *_memory; }
     PacketPool &packetPool() { return _pool; }
 
-    /** Packet-lifecycle probe points, by name ("l1.accepted", ...). */
+    /** Probe points, by name ("l1.accepted", "eventq.execute", ...). */
     probe::ProbeManager &probeManager() { return _probes; }
+
+    /** The Chrome trace this System recorded; null unless
+     *  observe::Options::trace was set. */
+    const trace::EventLog *
+    traceLog() const
+    {
+        return _trace ? &_trace->log() : nullptr;
+    }
 
     /** Interval-stats JSONL captured during run(); empty string when
      *  SystemConfig::statsInterval is 0. */
@@ -115,6 +128,8 @@ class System
      *  probe points they attach to are destroyed. */
     probe::ProbeManager _probes;
     std::unique_ptr<telemetry::LatencyAccountant> _telemetry;
+    std::unique_ptr<observe::DebugPrinter> _debug;
+    std::unique_ptr<observe::TraceRecorder> _trace;
     std::unique_ptr<stats::IntervalStats> _interval;
 
     std::vector<stats::TimeSeries> _occupancy;

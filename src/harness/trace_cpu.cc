@@ -1,8 +1,5 @@
 #include "trace_cpu.hh"
 
-#include "sim/debug.hh"
-#include "sim/trace_event.hh"
-
 namespace mda
 {
 
@@ -167,17 +164,6 @@ TraceCpu::issue()
         // reference updates are applied exactly once.
         PacketPtr pkt = _blockedPkt ? std::move(_blockedPkt)
                                     : makePacket(_pendingOp);
-        // tryRequest consumes the packet, so anything the observers
-        // need is copied out first — only while they are watching.
-        const bool observed = MDA_OBSERVED();
-        std::uint64_t pkt_id = 0;
-        MemCmd pkt_cmd = MemCmd::Read;
-        Addr pkt_addr = 0;
-        if (MDA_UNLIKELY(observed)) {
-            pkt_id = pkt->id;
-            pkt_cmd = pkt->cmd;
-            pkt_addr = pkt->addr;
-        }
         // Accepted packets survive inside the L1's scheduled lookup,
         // so a pointer captured here stays valid for the probe below.
         const Packet *sent = pkt.get();
@@ -189,16 +175,6 @@ TraceCpu::issue()
         }
         MDA_PROBE(_probes.issued,
                   probe::PacketEvent{sent, curTick(), 0});
-        if (MDA_UNLIKELY(observed)) {
-            DPRINTF(TraceCpu,
-                    "issue %s %#llx id %llu (%u outstanding)",
-                    cmdName(pkt_cmd), (unsigned long long)pkt_addr,
-                    (unsigned long long)pkt_id, _outstanding + 1);
-            if (trace::on()) {
-                trace::log().asyncBegin(name(), cmdName(pkt_cmd),
-                                        pkt_id, curTick());
-            }
-        }
         ++_ops;
         ++_outstanding;
         --_issueBudget;
@@ -225,17 +201,6 @@ TraceCpu::recvResponse(PacketPtr pkt)
 {
     mda_assert(_outstanding > 0, "response with nothing outstanding");
     --_outstanding;
-    if (MDA_OBSERVED()) {
-        DPRINTF(TraceCpu,
-                "response %s %#llx id %llu after %llu cycles",
-                cmdName(pkt->cmd), (unsigned long long)pkt->addr,
-                (unsigned long long)pkt->id,
-                (unsigned long long)(curTick() - pkt->issueTick));
-        if (trace::on()) {
-            trace::log().asyncEnd(name(), cmdName(pkt->cmd), pkt->id,
-                                  curTick());
-        }
-    }
     MDA_PROBE(_probes.retired,
               probe::PacketEvent{pkt.get(), curTick(), 0});
     _loadLatency.sample(

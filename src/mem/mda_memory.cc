@@ -2,8 +2,6 @@
 
 #include <bit>
 
-#include "sim/debug.hh"
-#include "sim/trace_event.hh"
 
 namespace mda
 {
@@ -37,7 +35,10 @@ void
 MdaMemory::regProbes(probe::ProbeManager &pm)
 {
     pm.reg(name() + ".accepted", &_probes.accepted);
+    pm.reg(name() + ".queuedReqs", &_probes.queuedReqs);
     pm.reg(name() + ".issued", &_probes.issued);
+    pm.reg(name() + ".activate", &_probes.activate);
+    pm.reg(name() + ".bufferHit", &_probes.bufferHit);
     pm.reg(name() + ".responded", &_probes.responded);
 }
 
@@ -87,25 +88,13 @@ MdaMemory::tryRequest(PacketPtr &pkt)
     else
         ++_colAccesses;
 
-    if (MDA_OBSERVED()) {
-        DPRINTF(MDAMem, "enqueue %s %#llx (%s) ch %u bank %u %s",
-                cmdName(pkt->cmd), (unsigned long long)pkt->addr,
-                orientName(pkt->orient), dec.channel, dec.flatBank,
-                is_write ? "writeQ" : "readQ");
-        if (trace::on()) {
-            if (pkt->cmd != MemCmd::Writeback) {
-                trace::log().asyncBegin(name(), cmdName(pkt->cmd),
-                                        pkt->id, curTick());
-            }
-            trace::log().counter(
-                name(), "queuedReqs", curTick(),
-                static_cast<double>(channel.readQ.size() +
-                                    channel.writeQ.size() + 1));
-        }
-    }
-
     MDA_PROBE(_probes.accepted,
               probe::PacketEvent{pkt.get(), curTick(), 0});
+    MDA_PROBE(_probes.queuedReqs,
+              probe::CounterEvent{
+                  curTick(), static_cast<double>(channel.readQ.size() +
+                                                 channel.writeQ.size() +
+                                                 1)});
 
     QueuedReq req;
     req.flatBank = dec.flatBank;
@@ -243,31 +232,13 @@ MdaMemory::issue(Channel &channel, QueuedReq req)
     _busBusy += static_cast<double>(burst);
     _queueLatency.sample(static_cast<double>(now - req.enqueueTick));
     MDA_PROBE(_probes.issued, probe::PacketEvent{&pkt, now, 0});
-
-    if (MDA_OBSERVED()) {
-        DPRINTF(MDAMem,
-                "issue %s %#llx (%s) bank %u: %s, latency %llu, "
-                "burst %llu",
-                cmdName(pkt.cmd), (unsigned long long)pkt.addr,
-                orientName(pkt.orient), req.flatBank,
-                hit ? "buffer hit" : "activate",
-                (unsigned long long)lat, (unsigned long long)burst);
-        if (trace::on()) {
-            // Bank service window as a complete slice on the mem
-            // track.
-            trace::log().complete(name(),
-                                  hit ? "bufferHit" : "activate",
-                                  now, (bus_start + burst) - now);
-        }
-    }
+    const Tick done = bus_start + burst;
+    MDA_PROBE(hit ? _probes.bufferHit : _probes.activate,
+              probe::SpanEvent{&pkt, now, done - now});
 
     if (req.needsResponse) {
-        Tick done = bus_start + burst;
         MDA_PROBE(_probes.responded,
                   probe::PacketEvent{&pkt, now, done - now});
-        if (MDA_UNLIKELY(trace::on()))
-            trace::log().asyncEnd(name(), cmdName(pkt.cmd), pkt.id,
-                                  done);
         // Hand the packet back to the upstream client at completion.
         // The pool membership (if any) rides inside the packet, so
         // re-wrapping the raw pointer below restores the exact

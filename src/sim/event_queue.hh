@@ -43,8 +43,8 @@
 #include <vector>
 
 #include "callback.hh"
-#include "debug.hh"
 #include "logging.hh"
+#include "probe.hh"
 #include "types.hh"
 
 namespace mda
@@ -81,6 +81,15 @@ class EventQueue
     /** Current simulated time. */
     Tick curTick() const { return _curTick; }
 
+    /** Register the schedule/execute probe points with @p pm as
+     *  "eventq.schedule" / "eventq.execute". */
+    void
+    regProbes(probe::ProbeManager &pm)
+    {
+        pm.reg("eventq.schedule", &_probes.schedule);
+        pm.reg("eventq.execute", &_probes.execute);
+    }
+
     /**
      * Schedule @p fn to run at absolute tick @p when.
      *
@@ -103,15 +112,9 @@ class EventQueue
                    (unsigned long long)_curTick);
         // Consulted directly (not cached at run() entry) so events
         // scheduled before the first run() slice — e.g. during system
-        // construction — are traced too. A relaxed bool load is cheap
-        // enough for the schedule path.
-        if (MDA_UNLIKELY(debug::Event.enabled())) {
-            debug::detail::print(debug::Event, _curTick, "eventq",
-                                 "schedule seq %llu at %llu prio %u",
-                                 (unsigned long long)_nextSeq,
-                                 (unsigned long long)when,
-                                 static_cast<unsigned>(prio));
-        }
+        // construction — are observed too.
+        if (MDA_UNLIKELY(_probes.schedule.listening()))
+            traceSchedule(when, static_cast<unsigned>(prio));
         const std::uint64_t seq = _nextSeq++;
         const auto p = static_cast<unsigned>(prio);
         if (when == _curTick) {
@@ -181,11 +184,12 @@ class EventQueue
     std::uint64_t
     run(Tick limit = maxTick)
     {
-        // The Event flag is checked once per run() call and the loop
-        // is split: the untraced loop carries no per-event observation
-        // work at all — this is the hottest loop in the simulator.
-        // Flags set mid-run take effect at the next run() slice.
-        if (MDA_UNLIKELY(debug::Event.enabled()))
+        // The execute probe is checked once per run() call and the
+        // loop is split: the unobserved loop carries no per-event
+        // observation work at all — this is the hottest loop in the
+        // simulator. Listeners attached mid-run take effect at the
+        // next run() slice.
+        if (MDA_UNLIKELY(_probes.execute.listening()))
             return runTraced(limit);
         std::uint64_t executed = 0;
         while (executeOne<false>(limit))
@@ -198,9 +202,8 @@ class EventQueue
     step()
     {
         // Same shared execute path as run(): single-stepped tests get
-        // the "time went backwards" assert and the per-event trace
-        // line too.
-        if (MDA_UNLIKELY(debug::Event.enabled()))
+        // the "time went backwards" assert and the execute probe too.
+        if (MDA_UNLIKELY(_probes.execute.listening()))
             return executeOne<true>(maxTick);
         return executeOne<false>(maxTick);
     }
@@ -539,15 +542,23 @@ class EventQueue
         return true;
     }
 
-    __attribute__((cold, noinline)) static void
-    traceExecute(std::uint64_t seq, unsigned prio)
+    /** Fire the schedule probe. Out of line, with scalar arguments,
+     *  so the hottest entry point carries no payload construction. */
+    __attribute__((cold, noinline)) void
+    traceSchedule(Tick when, unsigned prio)
     {
-        debug::detail::print(debug::Event, 0 /* unused by print */,
-                             "eventq", "execute seq %llu prio %u",
-                             (unsigned long long)seq, prio);
+        _probes.schedule.fire(
+            probe::QueueEvent{_curTick, when, _nextSeq, prio});
     }
 
-    /** run() with per-event Event-flag trace lines (cold path). */
+    __attribute__((cold, noinline)) void
+    traceExecute(std::uint64_t seq, unsigned prio)
+    {
+        MDA_PROBE(_probes.execute,
+                  probe::QueueEvent{_curTick, _curTick, seq, prio});
+    }
+
+    /** run() firing the execute probe per event (cold path). */
     __attribute__((cold, noinline)) std::uint64_t
     runTraced(Tick limit)
     {
@@ -575,6 +586,7 @@ class EventQueue
     std::size_t _curHead = 0;
     Tick _curTick = 0;
     std::uint64_t _nextSeq = 0;
+    probe::QueueProbes _probes;
 };
 
 } // namespace mda

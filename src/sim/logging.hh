@@ -71,4 +71,8 @@ void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 } // namespace mda
 
+/** Branch-prediction hint for rarely taken paths (observation gates,
+ *  error checks). */
+#define MDA_UNLIKELY(x) __builtin_expect(!!(x), 0)
+
 #endif // MDA_SIM_LOGGING_HH

@@ -13,7 +13,9 @@
  * packet addresses, which vary run to run (ASLR, allocator state).
  * Recycled packets are re-constructed in place, so a reused packet is
  * indistinguishable from a heap-fresh one (zeroed payload, fresh id)
- * and pooling on/off cannot change simulated behavior.
+ * and pooling on/off cannot change simulated behavior. Ids come from
+ * the pool's own counter, so a System's packets are numbered 1, 2,
+ * ... in allocation order whatever runs beside it.
  *
  * Pools are per-System and single-threaded, like the EventQueue; a
  * parallel sweep gives each simulation its own pool.
@@ -73,6 +75,7 @@ class PacketPool
             ++_allocated;
         }
         pkt->pool = this;
+        pkt->id = ++_lastId;
         return PacketPtr(pkt);
     }
 
@@ -133,6 +136,7 @@ class PacketPool
 
     std::uint64_t _allocated = 0;
     std::uint64_t _recycled = 0;
+    std::uint64_t _lastId = 0;
 };
 
 } // namespace mda

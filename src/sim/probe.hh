@@ -1,27 +1,28 @@
 /**
  * @file
- * gem5-style typed probe points.
+ * gem5-style typed probe points: the simulator's one observation
+ * mechanism.
  *
  * A ProbePoint<Args...> is a named hook a component fires at an
- * interesting moment in a packet's life (accepted, MSHR-queued, fill
- * sent, responded, ...). Listeners attach std::function callbacks at
- * run time; with zero listeners a fire through the MDA_PROBE macro
- * costs exactly one predicted-false branch and never evaluates its
- * arguments, so instrumented hot paths stay byte-identical and fast
- * when nobody is observing (same contract as DPRINTF).
+ * interesting moment (a packet accepted, a hit, an eviction, an event
+ * scheduled, ...). Listeners attach std::function callbacks at run
+ * time; with zero listeners a fire through the MDA_PROBE macro costs
+ * exactly one predicted-false branch and never evaluates its
+ * arguments, so instrumented hot paths stay fast when nobody is
+ * observing.
  *
  * Every System owns a ProbeManager. Components register their probe
  * points under "<component>.<probe>" names (e.g. "l1.mshrQueued")
  * right after construction, mirroring the stat registration pattern.
- * Listeners — the LatencyAccountant, tests — look points up by name
- * and attach; callbacks run synchronously at the fire site in
- * attach order, so listener observation order is deterministic.
+ * Listeners — the LatencyAccountant, the debug-text printer, the
+ * Chrome trace recorder, tests — look points up by name and attach;
+ * callbacks run synchronously at the fire site in attach order, so
+ * listener observation order is deterministic. Listeners belong to
+ * one System, so parallel sweeps observe every cell independently.
  *
  * This header doubles as the probe *registry* for the mda-lint OBS-2
  * rule: every MDA_PROBE fire site must name a ProbePoint member that
- * is declared in one of the probe structs below (CpuProbes,
- * CacheProbes, MemProbes), exactly as OBS-1 requires DPRINTF flags to
- * be declared in debug.hh.
+ * is declared in one of the probe structs below.
  */
 
 #ifndef MDA_SIM_PROBE_HH
@@ -34,8 +35,8 @@
 #include <utility>
 #include <vector>
 
-#include "debug.hh"
 #include "logging.hh"
+#include "orientation.hh"
 #include "types.hh"
 
 namespace mda
@@ -111,8 +112,10 @@ class ProbePoint : public ProbePointBase
 
     /** Deliver @p args to every listener, in attach order. Callers
      *  should go through MDA_PROBE so the no-listener case skips
-     *  argument evaluation entirely. */
-    void
+     *  argument evaluation entirely. Cold and out of line: an
+     *  inlined listener loop at every fire site would bloat the hot
+     *  paths that only ever take the no-listener branch. */
+    __attribute__((cold, noinline)) void
     fire(const Args &...args) const
     {
         for (const auto &entry : _callbacks)
@@ -211,9 +214,9 @@ class ProbeListener
 
 /**
  * Payload for packet-lifecycle probes. @ref when is the tick the
- * probe fired; @ref delay is nonzero only on `responded`, where it is
- * the scheduled delivery delay (the response reaches the requester at
- * when + delay).
+ * probe fired; @ref delay is nonzero only on `responded` and `hit`,
+ * where it is the scheduled delivery delay (the response reaches the
+ * requester at when + delay).
  */
 struct PacketEvent
 {
@@ -223,15 +226,61 @@ struct PacketEvent
 };
 
 /**
- * Payload for the crossing-line duplicate-coherence probe: word
- * address whose duplicate was acted on, and which action ran.
+ * Payload for the crossing-line duplicate-coherence probe: the word
+ * whose duplicate was acted on, the crossing line holding that
+ * duplicate, and which action ran.
  */
 struct CrossingEvent
 {
     Addr word = 0;
+    OrientedLine cross;
     bool dirtyWriteback = false; ///< Duplicate was dirty: written back.
     bool evicted = false;        ///< Duplicate invalidated.
     Tick when = 0;
+};
+
+/**
+ * Payload for the eviction probe. A line cache evicts one oriented
+ * line (@ref addr is its base address); a tile cache evicts a whole
+ * 2-D block frame (@ref addr is the tile's base address, @ref orient
+ * is Row).
+ */
+struct EvictEvent
+{
+    Addr addr = 0;
+    Orientation orient = Orientation::Row;
+    unsigned presentWords = 0; ///< Valid words in the victim.
+    unsigned dirtyWords = 0;   ///< Of those, dirty (written back).
+    Tick when = 0;
+};
+
+/** Payload for gauge samples: the gauge's value after a change.
+ *  Chrome traces show each such point as a counter track. */
+struct CounterEvent
+{
+    Tick when = 0;
+    double value = 0.0;
+};
+
+/** Payload for a resource busy span that starts at @ref when and
+ *  lasts @ref duration ticks, serving @ref pkt. Chrome traces show
+ *  each such point as a complete slice. */
+struct SpanEvent
+{
+    const Packet *pkt = nullptr;
+    Tick when = 0;
+    Tick duration = 0;
+};
+
+/** Payload for event-queue probes: event @ref seq with priority
+ *  @ref prio, due at tick @ref at, observed at tick @ref when (for
+ *  an execution, when == at). */
+struct QueueEvent
+{
+    Tick when = 0;
+    Tick at = 0;
+    std::uint64_t seq = 0;
+    unsigned prio = 0;
 };
 
 // ---- Probe registry -------------------------------------------------
@@ -250,7 +299,7 @@ struct CpuProbes
     ProbePoint<PacketEvent> retired;
 };
 
-/** Cache-level lifecycle probes ("l1."/"l2."/"l3." + name). */
+/** Cache-level probes ("l1."/"l2."/"l3." + name). */
 struct CacheProbes
 {
     /** Packet accepted into this level (post tag-latency dispatch is
@@ -258,18 +307,29 @@ struct CacheProbes
     ProbePoint<PacketEvent> accepted;
     /** Demand handled but deferred behind a busy line. */
     ProbePoint<PacketEvent> deferred;
+    /** Demand hit; delay = response delay. */
+    ProbePoint<PacketEvent> hit;
+    /** Demand miss, counted once (after any deferral). */
+    ProbePoint<PacketEvent> miss;
     /** Demand queued on an MSHR (fresh alloc or coalesce). */
     ProbePoint<PacketEvent> mshrQueued;
+    /** MSHR entry retired by its fill (pkt = the fill). */
+    ProbePoint<PacketEvent> mshrRetire;
+    /** MSHR entries in use, sampled after each allocation (demand or
+     *  prefetch) and after each fill. */
+    ProbePoint<CounterEvent> mshrOccupancy;
     /** Line-fill request sent downstream. */
     ProbePoint<PacketEvent> fillSent;
     /** Line-fill response received from downstream. */
     ProbePoint<PacketEvent> fillRecv;
+    /** Valid line (line cache) or block frame (tile cache) evicted. */
+    ProbePoint<EvictEvent> evict;
     /** Dirty eviction pushed to the writeback queue. */
     ProbePoint<PacketEvent> writebackOut;
     /** Response scheduled toward the requester (delay = delivery). */
     ProbePoint<PacketEvent> responded;
-    /** Tile-cache write-validate: write satisfied without a fetch. */
-    ProbePoint<PacketEvent> writeValidate;
+    /** Tile-cache presence bits set, after each change. */
+    ProbePoint<CounterEvent> presentWords;
     /** Crossing-orientation duplicate written back / evicted. */
     ProbePoint<CrossingEvent> dupAction;
 };
@@ -279,10 +339,27 @@ struct MemProbes
 {
     /** Request enqueued into a bank queue. */
     ProbePoint<PacketEvent> accepted;
+    /** Requests in the accepting channel's queues, this one
+     *  included, sampled at each enqueue. */
+    ProbePoint<CounterEvent> queuedReqs;
     /** Request issued to its bank (leaves the queue). */
     ProbePoint<PacketEvent> issued;
+    /** Bank service that opened a new row/column buffer: from issue
+     *  until the data leaves the bus. */
+    ProbePoint<SpanEvent> activate;
+    /** Bank service served from an open buffer (same span). */
+    ProbePoint<SpanEvent> bufferHit;
     /** Response scheduled on the bus (delay = bank + bus time). */
     ProbePoint<PacketEvent> responded;
+};
+
+/** Event-queue probes ("eventq." + name). */
+struct QueueProbes
+{
+    /** Event scheduled (fires before it is queued). */
+    ProbePoint<QueueEvent> schedule;
+    /** Event about to execute. */
+    ProbePoint<QueueEvent> execute;
 };
 
 } // namespace probe
@@ -291,8 +368,8 @@ struct MemProbes
 /**
  * Fire @p point with @p __VA_ARGS__ if anyone is listening. The
  * listener check is the only cost on the no-listener path: argument
- * expressions are not evaluated, matching DPRINTF's contract. OBS-2
- * requires @p point's member name to be declared in probe.hh.
+ * expressions are not evaluated. OBS-2 requires @p point's member
+ * name to be declared in probe.hh.
  */
 #define MDA_PROBE(point, ...)                                           \
     do {                                                                \

@@ -1,96 +1,11 @@
 #include "trace_event.hh"
 
-#include "debug.hh"
-
-#include <fstream>
+#include <cstdio>
 
 #include "logging.hh"
 
 namespace mda::trace
 {
-
-namespace detail
-{
-// MDA_LINT_ALLOW(CONC-1): toggled only by EventLog open/reset during
-// single-threaded setup; active tracing makes obs::hot true, which
-// restricts sweeps to --jobs 1 (Executor::forEach fatals otherwise).
-bool active = false;
-} // namespace detail
-
-EventLog &
-log()
-{
-    // MDA_LINT_ALLOW(CONC-1): the process-wide trace log is by
-    // design a singleton; recording with --jobs > 1 is rejected by
-    // Executor::forEach before any worker can touch it.
-    static EventLog instance;
-    return instance;
-}
-
-void
-EventLog::open(const std::string &path, std::size_t max_events)
-{
-    mda_assert(!_open, "trace log opened twice");
-    _path = path;
-    _stream = nullptr;
-    _capacity = max_events;
-    _events.reserve(std::min<std::size_t>(max_events, 1u << 16));
-    _open = true;
-    detail::active = true;
-    obs::refresh();
-}
-
-void
-EventLog::openStream(std::ostream *os, std::size_t max_events)
-{
-    mda_assert(!_open, "trace log opened twice");
-    mda_assert(os != nullptr, "null trace stream");
-    _path.clear();
-    _stream = os;
-    _capacity = max_events;
-    _open = true;
-    detail::active = true;
-    obs::refresh();
-}
-
-void
-EventLog::resetState()
-{
-    _open = false;
-    detail::active = false;
-    obs::refresh();
-    _events.clear();
-    _events.shrink_to_fit();
-    _tracks.clear();
-    _openSlices.clear();
-    _dropped = 0;
-    _stream = nullptr;
-    _path.clear();
-}
-
-void
-EventLog::close()
-{
-    if (!_open)
-        return;
-    if (_dropped > 0) {
-        warn("trace buffer bound (%zu events) reached; %llu events "
-             "dropped",
-             _capacity, (unsigned long long)_dropped);
-    }
-    if (_stream) {
-        writeJson(*_stream);
-    } else {
-        // MDA_LINT_ALLOW(TRC-1): Chrome trace-event JSON, not an
-        // .mdat binary trace.
-        std::ofstream file(_path);
-        if (!file)
-            warn("cannot write trace file: %s", _path.c_str());
-        else
-            writeJson(file);
-    }
-    resetState();
-}
 
 unsigned
 EventLog::tidFor(const std::string &track)
@@ -241,10 +156,8 @@ writeJsonString(std::ostream &os, const std::string &s)
 } // namespace
 
 void
-EventLog::writeJson(std::ostream &os) const
+EventLog::writeEvents(std::ostream &os, unsigned pid, bool &first) const
 {
-    os << "[\n";
-    bool first = true;
     auto sep = [&] {
         if (!first)
             os << ",\n";
@@ -254,8 +167,8 @@ EventLog::writeJson(std::ostream &os) const
     // Track-name metadata so Perfetto labels each component lane.
     for (const auto &[track, tid] : _tracks) {
         sep();
-        os << R"({"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":)"
-           << tid << R"(,"args":{"name":)";
+        os << R"({"name":"thread_name","ph":"M","ts":0,"pid":)" << pid
+           << R"(,"tid":)" << tid << R"(,"args":{"name":)";
         writeJsonString(os, track);
         os << "}}";
     }
@@ -265,7 +178,8 @@ EventLog::writeJson(std::ostream &os) const
         os << "{\"name\":";
         writeJsonString(os, ev.name);
         os << ",\"cat\":\"mda\",\"ph\":\"" << ev.ph
-           << "\",\"ts\":" << ev.ts << ",\"pid\":1,\"tid\":" << ev.tid;
+           << "\",\"ts\":" << ev.ts << ",\"pid\":" << pid
+           << ",\"tid\":" << ev.tid;
         if (ev.ph == 'X')
             os << ",\"dur\":" << ev.dur;
         if (ev.ph == 'b' || ev.ph == 'e')
@@ -275,6 +189,23 @@ EventLog::writeJson(std::ostream &os) const
         if (ev.ph == 'C')
             os << ",\"args\":{\"value\":" << ev.value << "}";
         os << "}";
+    }
+}
+
+void
+writeJson(std::ostream &os, const std::vector<const EventLog *> &logs)
+{
+    os << "[\n";
+    bool first = true;
+    for (std::size_t i = 0; i < logs.size(); ++i) {
+        const EventLog &log = *logs[i];
+        if (log.dropped() > 0) {
+            warn("trace buffer bound (%zu events) reached in process "
+                 "%zu; %llu events dropped",
+                 log.capacity(), i + 1,
+                 (unsigned long long)log.dropped());
+        }
+        log.writeEvents(os, static_cast<unsigned>(i + 1), first);
     }
     os << "\n]\n";
 }

@@ -2,29 +2,27 @@
  * @file
  * Chrome trace-event (Perfetto-loadable) JSON emitter.
  *
- * A single process-wide EventLog records simulator activity as trace
- * events on per-component tracks (one Chrome "thread" per component):
+ * An EventLog records one simulation's activity as trace events on
+ * per-component tracks (one Chrome "thread" per component):
  *
  *  - synchronous scopes as well-nested B/E duration events (end() pops
  *    a per-track stack, so nesting holds by construction);
  *  - packet lifetimes (issue -> hit/miss -> fill) as async b/e pairs
  *    keyed by the packet id, so overlapping in-flight requests render
  *    as separate slices;
- *  - instant events (hit/miss markers) and counter tracks (MSHR
- *    occupancy, sparse-block presence bits, duplicate-coherence
- *    writebacks).
+ *  - instant events (hit/miss markers), complete slices (bank
+ *    service) and counter tracks (MSHR occupancy, sparse-block
+ *    presence bits, duplicate-coherence writebacks).
  *
  * The buffer is bounded: events past the cap are counted and dropped,
  * never resized, so tracing a long run cannot exhaust memory. One
  * simulated tick is encoded as one microsecond of trace time.
  *
- * Recording costs a single predicted-false branch while disabled
- * (check trace::on() before touching the log). Load the output in
+ * Each System that records a trace owns its own log (filled by the
+ * probe listener in harness/observe.hh), so cells of a parallel sweep
+ * never share one. writeJson() merges the logs of a sweep into one
+ * file, log i as Chrome process i + 1. Load the output in
  * https://ui.perfetto.dev or chrome://tracing.
- *
- * The log is process-wide and not thread-safe: parallel sweeps
- * (sweep::Executor with --jobs > 1) refuse to run while it is
- * recording, so traced runs are always single-job.
  */
 
 #ifndef MDA_SIM_TRACE_EVENT_HH
@@ -41,43 +39,20 @@
 namespace mda::trace
 {
 
-namespace detail
-{
-/** Hot-path switch: true while an EventLog is recording. */
-// MDA_LINT_ALLOW(CONC-1): toggled only during single-threaded setup;
-// active tracing restricts sweeps to --jobs 1 via obs::hot.
-extern bool active;
-} // namespace detail
-
-/** Whether trace recording is on (one load + compare). */
-inline bool
-on()
-{
-    return detail::active;
-}
-
 /** Bounded recorder for Chrome trace-event JSON. */
 class EventLog
 {
   public:
     static constexpr std::size_t defaultCapacity = 1u << 20;
 
-    /** Start recording; output is written to @p path on close(). */
-    void open(const std::string &path,
-              std::size_t max_events = defaultCapacity);
+    /** Record at most @p max_events events; later ones are dropped. */
+    explicit EventLog(std::size_t max_events = defaultCapacity)
+        : _capacity(max_events)
+    {}
 
-    /** Start recording into a caller-owned stream (tests). */
-    void openStream(std::ostream *os,
-                    std::size_t max_events = defaultCapacity);
-
-    bool isOpen() const { return _open; }
-
-    /** Flush the JSON array and stop recording. */
-    void close();
-
-    // ---- recording (callers gate on trace::on()) ----
+    // ---- recording ----
     // Cold: these only run while tracing, so their call blocks are
-    // kept out of the hot text of the gating call sites.
+    // kept out of the hot text of the probe listeners.
 
     /** Open a synchronous duration slice on @p track. */
     __attribute__((cold)) void begin(const std::string &track,
@@ -117,7 +92,12 @@ class EventLog
     /** Events dropped because the buffer bound was reached. */
     std::uint64_t dropped() const { return _dropped; }
 
+    std::size_t capacity() const { return _capacity; }
+
   private:
+    friend void writeJson(std::ostream &os,
+                          const std::vector<const EventLog *> &logs);
+
     struct Event
     {
         char ph = 'X';
@@ -133,21 +113,24 @@ class EventLog
     unsigned tidFor(const std::string &track);
 
     bool record(Event ev);
-    void writeJson(std::ostream &os) const;
-    void resetState();
 
-    bool _open = false;
-    std::string _path;
-    std::ostream *_stream = nullptr;
-    std::size_t _capacity = defaultCapacity;
+    /** Append this log's metadata and events as process @p pid;
+     *  @p first tracks the array separator across logs. */
+    void writeEvents(std::ostream &os, unsigned pid, bool &first) const;
+
+    std::size_t _capacity;
     std::uint64_t _dropped = 0;
     std::vector<Event> _events;
     std::map<std::string, unsigned> _tracks;
     std::map<unsigned, std::vector<std::string>> _openSlices;
 };
 
-/** The process-wide log instance. */
-EventLog &log();
+/**
+ * Write @p logs as one Chrome trace-event JSON array, log i as
+ * process (pid) i + 1, and warn about any log that dropped events.
+ * A single log is therefore always process 1.
+ */
+void writeJson(std::ostream &os, const std::vector<const EventLog *> &logs);
 
 } // namespace mda::trace
 

@@ -1,6 +1,6 @@
 // Minimal stand-ins so the LIF fixtures read like real call sites.
-// The tokenizer engine never compiles fixtures, but keeping them
-// syntactically honest means the AST engine can consume them too.
+// The analyzer never compiles fixtures; they stay syntactically
+// honest so they read like the code they stand in for.
 
 #ifndef TESTS_ANALYZE_FIXTURES_FAKE_PACKET_HH
 #define TESTS_ANALYZE_FIXTURES_FAKE_PACKET_HH

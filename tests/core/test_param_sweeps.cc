@@ -76,10 +76,10 @@ INSTANTIATE_TEST_SUITE_P(
         GeometryCase{LineMapping::TwoDSameSet, 1024, 2},
         GeometryCase{LineMapping::TwoDSameSet, 4096, 4},
         GeometryCase{LineMapping::TwoDSameSet, 8192, 8}),
-    [](const auto &info) {
-        return std::string(mappingName(info.param.mapping)) + "_" +
-               std::to_string(info.param.bytes) + "B_" +
-               std::to_string(info.param.ways) + "w";
+    [](const auto &param_info) {
+        return std::string(mappingName(param_info.param.mapping)) + "_" +
+               std::to_string(param_info.param.bytes) + "B_" +
+               std::to_string(param_info.param.ways) + "w";
     });
 
 // ---------------------------------------------------------------
@@ -148,11 +148,11 @@ INSTANTIATE_TEST_SUITE_P(
                       TopologyCase{4, 1, 8, 6},
                       TopologyCase{4, 2, 8, 7},
                       TopologyCase{8, 2, 16, 6}),
-    [](const auto &info) {
-        return std::to_string(info.param.channels) + "ch" +
-               std::to_string(info.param.ranks) + "rk" +
-               std::to_string(info.param.banks) + "bk" +
-               std::to_string(info.param.colSelBits) + "cs";
+    [](const auto &param_info) {
+        return std::to_string(param_info.param.channels) + "ch" +
+               std::to_string(param_info.param.ranks) + "rk" +
+               std::to_string(param_info.param.banks) + "bk" +
+               std::to_string(param_info.param.colSelBits) + "cs";
     });
 
 // ---------------------------------------------------------------
@@ -201,9 +201,9 @@ INSTANTIATE_TEST_SUITE_P(
                           DesignPoint::D1_1P2L_SameSet,
                           DesignPoint::D2_2P2L,
                           DesignPoint::D2_2P2L_Dense)),
-    [](const auto &info) {
-        return std::get<0>(info.param) + "_" +
-               designName(std::get<1>(info.param));
+    [](const auto &param_info) {
+        return std::get<0>(param_info.param) + "_" +
+               designName(std::get<1>(param_info.param));
     });
 
 } // namespace

@@ -50,8 +50,9 @@ TEST(Scenario, RespectsGenerationLimits)
         for (const TraceOp &op : s.trace) {
             // Writes are always serialized (the reference model is
             // program order).
-            if (op.write)
+            if (op.write) {
                 EXPECT_FALSE(op.concurrent);
+            }
         }
     }
 }

@@ -49,8 +49,8 @@ INSTANTIATE_TEST_SUITE_P(
                       DesignPoint::D1_1P2L_SameSet,
                       DesignPoint::D2_2P2L,
                       DesignPoint::D2_2P2L_Dense),
-    [](const auto &info) {
-        return std::string(designName(info.param));
+    [](const auto &param_info) {
+        return std::string(designName(param_info.param));
     });
 
 /**

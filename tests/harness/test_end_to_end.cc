@@ -42,9 +42,9 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(DesignPoint::D0_1P1L, DesignPoint::D1_1P2L,
                           DesignPoint::D1_1P2L_SameSet,
                           DesignPoint::D2_2P2L)),
-    [](const auto &info) {
-        return std::get<0>(info.param) + "_" +
-               designName(std::get<1>(info.param));
+    [](const auto &param_info) {
+        return std::get<0>(param_info.param) + "_" +
+               designName(std::get<1>(param_info.param));
     });
 
 /** The headline directional claim: on a working set much larger than

@@ -31,9 +31,13 @@ namespace mda
 namespace
 {
 
+/** gtest prints the raw bytes of a Scenario into each listed test
+ *  name, so it holds the workload inline rather than by pointer: a
+ *  pointer's bytes change with address-space randomization and would
+ *  give the tests a different name on every build. */
 struct Scenario
 {
-    const char *workload;
+    char workload[8];
     std::int64_t n;
     std::uint64_t period;
     std::uint64_t window;

@@ -48,12 +48,11 @@ fixture(const std::string &name)
     return std::string(MDA_LINT_FIXTURES) + "/" + name;
 }
 
-/** Lint one fixture with the fixture flag/probe registries. */
+/** Lint one fixture with the fixture probe registry. */
 RunResult
 lintFixture(const std::string &name)
 {
     return run("--root " + std::string(MDA_SOURCE_ROOT) +
-               " --debug-header " + fixture("fake_debug.hh") +
                " --probe-header " + fixture("fake_probe.hh") + " " +
                fixture(name));
 }
@@ -131,17 +130,6 @@ TEST(MdaLint, Evt1CatchesNegativeTicksAndBlockingCalls)
     expectFinding(r, f, 16, "EVT-1"); // schedule(\n -1 across lines
     expectFinding(r, f, 18, "EVT-1"); // sleep_for
     EXPECT_EQ(countFindings(r, "EVT-1"), 3) << r.output;
-}
-
-TEST(MdaLint, Obs1CatchesUnknownDebugFlags)
-{
-    RunResult r = lintFixture("obs1_violation.cc");
-    EXPECT_EQ(r.exitCode, 1) << r.output;
-    std::string f = fixprefix + "obs1_violation.cc";
-    expectFinding(r, f, 10, "OBS-1"); // DPRINTF(Cashe, ...)
-    expectFinding(r, f, 11, "OBS-1"); // DPRINTF_AT(Retired, ...)
-    // DPRINTF(Cache, ...) is registered and must not be flagged.
-    EXPECT_EQ(countFindings(r, "OBS-1"), 2) << r.output;
 }
 
 TEST(MdaLint, Obs1CatchesUnregisteredStats)
@@ -249,13 +237,11 @@ TEST(MdaLint, BaselineRoundTrip)
     std::string baseline =
         ::testing::TempDir() + "/mda_lint_baseline.txt";
     RunResult w = run("--root " + std::string(MDA_SOURCE_ROOT) +
-                      " --debug-header " + fixture("fake_debug.hh") +
                       " --write-baseline " + baseline + " " +
                       fixture("det1_violation.cc"));
     EXPECT_EQ(w.exitCode, 1) << w.output;
 
     RunResult r = run("--root " + std::string(MDA_SOURCE_ROOT) +
-                      " --debug-header " + fixture("fake_debug.hh") +
                       " --baseline " + baseline + " " +
                       fixture("det1_violation.cc"));
     EXPECT_EQ(r.exitCode, 0) << r.output;

@@ -97,8 +97,9 @@ TEST(AddressDecode, PropertyNoCoordinateAliasing)
         DecodedAddr d = dec.decode(a);
         auto key = std::make_tuple(d.flatBank, d.physRow, d.physCol);
         auto [it, inserted] = seen.emplace(key, a);
-        if (!inserted)
+        if (!inserted) {
             EXPECT_EQ(it->second, a);
+        }
     }
 }
 

@@ -5,10 +5,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <sstream>
 #include <vector>
 
-#include "sim/debug.hh"
 #include "sim/event_queue.hh"
 
 namespace mda
@@ -231,25 +229,51 @@ TEST(EventQueueDeathTest, SchedulingInThePastPanics)
 }
 
 /**
- * Regression: schedule-time tracing must consult the debug flag
- * directly, so events scheduled before the first run() slice (system
- * construction) are traced too.
+ * Regression: the schedule probe must be consulted on every
+ * schedule(), so events scheduled before the first run() slice
+ * (system construction) are observed too.
  */
 TEST(EventQueue, TracesSchedulesBeforeFirstRun)
 {
-    std::ostringstream os;
-    debug::setOutput(&os);
-    debug::Event.enable();
-
     EventQueue eq;
+    probe::ProbeManager pm;
+    eq.regProbes(pm);
+    std::vector<probe::QueueEvent> seen;
+    probe::ProbeListener listener(
+        *pm.findTyped<probe::QueueEvent>("eventq.schedule"),
+        [&](const probe::QueueEvent &ev) { seen.push_back(ev); });
+
     eq.schedule(42, [] {});
 
-    debug::Event.disable();
-    debug::setOutput(nullptr);
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_EQ(seen[0].seq, 0u);
+    EXPECT_EQ(seen[0].at, 42u);
+    EXPECT_EQ(seen[0].when, 0u);
+}
 
-    EXPECT_NE(os.str().find("schedule seq 0 at 42"),
-              std::string::npos)
-        << "trace was: " << os.str();
+/** The execute probe carries the tick the event runs at. */
+TEST(EventQueue, ExecuteProbeCarriesTheExecutingTick)
+{
+    EventQueue eq;
+    probe::ProbeManager pm;
+    eq.regProbes(pm);
+    std::vector<probe::QueueEvent> ran;
+    probe::ProbeListener listener(
+        *pm.findTyped<probe::QueueEvent>("eventq.execute"),
+        [&](const probe::QueueEvent &ev) { ran.push_back(ev); });
+
+    eq.schedule(7, [] {});
+    eq.schedule(5000, [] {}); // beyond the wheel: the heap path
+    eq.schedule(7, [&] { eq.scheduleAfter(0, [] {}); });
+    eq.run();
+
+    ASSERT_EQ(ran.size(), 4u);
+    std::vector<Tick> ticks;
+    for (const auto &ev : ran) {
+        EXPECT_EQ(ev.when, ev.at);
+        ticks.push_back(ev.when);
+    }
+    EXPECT_EQ(ticks, (std::vector<Tick>{7, 7, 7, 5000}));
 }
 
 } // namespace

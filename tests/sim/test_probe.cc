@@ -59,7 +59,7 @@ TEST(ProbePoint, DetachAllDropsEveryListener)
 
 TEST(ProbePoint, MacroSkipsArgumentEvaluationWithNoListeners)
 {
-    // The DPRINTF-style contract: with zero listeners the payload
+    // The zero-listener contract: with no listeners the payload
     // expression must never run (instrumented hot paths stay free).
     ProbePoint<int> p;
     int evaluations = 0;

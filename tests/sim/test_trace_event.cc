@@ -16,30 +16,16 @@ namespace
 {
 
 std::string
-emitted(EventLog &log, std::ostringstream &os)
+emitted(const EventLog &log)
 {
-    log.close();
-    return os.str();
-}
-
-TEST(TraceEvent, OnTracksOpenState)
-{
-    EXPECT_FALSE(on());
     std::ostringstream os;
-    EventLog log;
-    log.openStream(&os);
-    EXPECT_TRUE(on());
-    EXPECT_TRUE(log.isOpen());
-    log.close();
-    EXPECT_FALSE(on());
-    EXPECT_FALSE(log.isOpen());
+    writeJson(os, {&log});
+    return os.str();
 }
 
 TEST(TraceEvent, EmitsValidJsonWithRequiredFields)
 {
-    std::ostringstream os;
     EventLog log;
-    log.openStream(&os);
     log.begin("l1", "fill", 10);
     log.end("l1", 20);
     log.asyncBegin("l1", "ReadReq", 7, 12);
@@ -48,7 +34,7 @@ TEST(TraceEvent, EmitsValidJsonWithRequiredFields)
     log.instant("l1", "hit", 16);
     log.counter("l1", "mshrOccupancy", 17, 3.0);
 
-    auto root = testjson::parse(emitted(log, os));
+    auto root = testjson::parse(emitted(log));
     ASSERT_TRUE(root->isArray());
     ASSERT_GE(root->array.size(), 7u);
     for (const auto &ev : root->array) {
@@ -63,15 +49,13 @@ TEST(TraceEvent, EmitsValidJsonWithRequiredFields)
 
 TEST(TraceEvent, PhaseSpecificFields)
 {
-    std::ostringstream os;
     EventLog log;
-    log.openStream(&os);
     log.complete("mem", "activate", 15, 40);
     log.asyncBegin("l1", "ReadReq", 7, 12);
     log.instant("l1", "hit", 16);
     log.counter("l1", "mshrOccupancy", 17, 3.0);
 
-    auto root = testjson::parse(emitted(log, os));
+    auto root = testjson::parse(emitted(log));
     bool saw_x = false, saw_b = false, saw_i = false, saw_c = false;
     for (const auto &ev : root->array) {
         const std::string &ph = ev->at("ph").string;
@@ -97,9 +81,7 @@ TEST(TraceEvent, PhaseSpecificFields)
 
 TEST(TraceEvent, DurationEventsAreWellNested)
 {
-    std::ostringstream os;
     EventLog log;
-    log.openStream(&os);
     // Interleave two tracks; each must stay well-nested on its own.
     log.begin("l1", "outer", 0);
     log.begin("l2", "other", 1);
@@ -108,7 +90,7 @@ TEST(TraceEvent, DurationEventsAreWellNested)
     log.end("l2", 4); // closes other
     log.end("l1", 5); // closes outer
 
-    auto root = testjson::parse(emitted(log, os));
+    auto root = testjson::parse(emitted(log));
     // Replay per-tid B/E sequences against a stack: every E must match
     // the innermost open B by name, and nothing may stay open.
     std::map<double, std::vector<std::string>> stacks;
@@ -130,28 +112,24 @@ TEST(TraceEvent, DurationEventsAreWellNested)
 
 TEST(TraceEvent, EndWithoutBeginIsIgnored)
 {
-    std::ostringstream os;
     EventLog log;
-    log.openStream(&os);
     log.end("l1", 5); // no open slice: warn, drop
     EXPECT_EQ(log.size(), 0u);
-    auto root = testjson::parse(emitted(log, os));
+    auto root = testjson::parse(emitted(log));
     for (const auto &ev : root->array)
         EXPECT_NE(ev->at("ph").string, "E");
 }
 
 TEST(TraceEvent, BufferBoundIsHonored)
 {
-    std::ostringstream os;
-    EventLog log;
-    log.openStream(&os, 4);
+    EventLog log(4);
     for (int i = 0; i < 10; ++i)
         log.instant("l1", "hit", static_cast<Tick>(i));
     EXPECT_EQ(log.size(), 4u);
     EXPECT_EQ(log.dropped(), 6u);
 
     // Drops still leave a parseable file: 4 instants + metadata.
-    auto root = testjson::parse(emitted(log, os));
+    auto root = testjson::parse(emitted(log));
     std::size_t instants = 0;
     for (const auto &ev : root->array)
         instants += (ev->at("ph").string == "i");
@@ -160,13 +138,11 @@ TEST(TraceEvent, BufferBoundIsHonored)
 
 TEST(TraceEvent, MetadataNamesEveryTrack)
 {
-    std::ostringstream os;
     EventLog log;
-    log.openStream(&os);
     log.instant("l1", "hit", 1);
     log.instant("mem", "activate", 2);
 
-    auto root = testjson::parse(emitted(log, os));
+    auto root = testjson::parse(emitted(log));
     std::map<std::string, double> track_tids;
     std::map<double, std::size_t> used_tids;
     for (const auto &ev : root->array) {
@@ -188,6 +164,36 @@ TEST(TraceEvent, MetadataNamesEveryTrack)
                                    return kv.second == tid;
                                }))
             << "events on unnamed tid " << tid;
+}
+
+TEST(TraceEvent, EachLogIsItsOwnProcess)
+{
+    EventLog first, second;
+    first.instant("l1", "hit", 1);
+    second.instant("l1", "miss", 2);
+    second.instant("mem", "activate", 3);
+
+    std::ostringstream os;
+    writeJson(os, {&first, &second});
+    auto root = testjson::parse(os.str());
+    std::map<std::string, double> pid_of;
+    std::map<double, std::size_t> tracks_of;
+    for (const auto &ev : root->array) {
+        if (ev->at("ph").string == "M")
+            ++tracks_of[ev->at("pid").number];
+        else
+            pid_of[ev->at("name").string] = ev->at("pid").number;
+    }
+    EXPECT_DOUBLE_EQ(pid_of["hit"], 1.0);
+    EXPECT_DOUBLE_EQ(pid_of["miss"], 2.0);
+    EXPECT_DOUBLE_EQ(pid_of["activate"], 2.0);
+    // Track ids are per process: each names its own lanes.
+    EXPECT_EQ(tracks_of[1.0], 1u);
+    EXPECT_EQ(tracks_of[2.0], 2u);
+
+    // A single log is process 1, whatever else was written before.
+    EXPECT_NE(emitted(second).find(R"("pid":1)"), std::string::npos);
+    EXPECT_EQ(emitted(second).find(R"("pid":2)"), std::string::npos);
 }
 
 } // namespace

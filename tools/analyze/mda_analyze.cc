@@ -69,9 +69,7 @@
  * initializers look like function declarations and are caught via
  * their extern declarations instead; callees without summaries are
  * assumed not to release or write shared state; summary lookup is by
- * unqualified name (colliding names union conservatively). When
- * Clang dev libs are present, mda_analyze_ast.cc supplies an
- * AST-based deep-audit engine (see tools/analyze/CMakeLists.txt).
+ * unqualified name (colliding names union conservatively).
  */
 
 #include <algorithm>

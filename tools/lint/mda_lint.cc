@@ -27,17 +27,15 @@
  *          negative literal wraps), and simulator code must not call
  *          blocking primitives (sleep family, console reads) — event
  *          callbacks must run to completion.
- *   OBS-1  Observability cross-checks: every DPRINTF/DPRINTF_AT flag
- *          argument must name a flag registered in the mda::debug
- *          registry (src/sim/debug.hh), and every stats::Scalar /
- *          Distribution / TimeSeries member must be registered with a
- *          StatGroup via regScalar/regDistribution/regTimeSeries —
- *          otherwise tracing and stats rot silently.
- *   OBS-2  Probe-registry cross-check: every MDA_PROBE fire site (and
- *          direct .fire() call) must name a probe point declared in
- *          the probe registry header (src/sim/probe.hh) — the exact
- *          mirror of the OBS-1 DPRINTF flag check, so a fire site can
- *          never reference a point no listener could find.
+ *   OBS-1  Stats registration: every stats::Scalar / Distribution /
+ *          TimeSeries member must be registered with a StatGroup via
+ *          regScalar/regDistribution/regTimeSeries — otherwise the
+ *          stat rots silently.
+ *   OBS-2  Probe-registry cross-check, the one registry check for
+ *          observation points: every MDA_PROBE fire site (and direct
+ *          .fire() call) must name a probe point declared in the
+ *          probe registry header (src/sim/probe.hh), so a fire site
+ *          can never reference a point no listener could find.
  *   HDR-1  Header hygiene: include guards must be
  *          MDA_<PATH>_<FILE>_HH (path relative to the repo root, with
  *          the leading src/ stripped), the #define must match the
@@ -71,8 +69,6 @@
  * scanning/suppression/baseline machinery lives in
  * tools/common/scan.hh (also used by mda-analyze). It is deliberately
  * conservative and std-only so the CI gate runs on any toolchain.
- * When Clang dev libs are available, mda_lint_ast.cc supplies an AST
- * engine for the type-aware subset (see tools/lint/CMakeLists.txt).
  */
 
 #include <algorithm>
@@ -112,7 +108,6 @@ using mda::scan::tokensOf;
 struct Options
 {
     fs::path root = fs::current_path();
-    std::string debugHeader;
     std::string probeHeader;
     std::string baselinePath;
     std::string writeBaselinePath;
@@ -127,8 +122,6 @@ struct Context
 {
     Options opts;
     std::vector<Finding> findings;
-    std::set<std::string> debugFlags; ///< Registered debug::Flag names.
-    bool haveFlagRegistry = false;
     std::set<std::string> probePoints; ///< Declared ProbePoint members.
     bool haveProbeRegistry = false;
 
@@ -321,31 +314,7 @@ checkEvt1(Context &ctx, const ScanFile &sf)
 }
 
 // ---------------------------------------------------------------------
-// OBS-1: observability cross-checks.
-
-/** Load debug::Flag names ("extern Flag X;" / "Flag X(") from a
- *  registry header. */
-bool
-loadFlagRegistry(Context &ctx, const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    std::stringstream ss;
-    ss << in.rdbuf();
-    ScanFile sf;
-    scanSource(ss.str(), sf);
-    for (const std::string &line : sf.code) {
-        std::vector<Token> toks = tokensOf(line);
-        for (std::size_t k = 0; k + 2 < toks.size(); ++k) {
-            if (toks[k].text == "extern" &&
-                toks[k + 1].text == "Flag") {
-                ctx.debugFlags.insert(toks[k + 2].text);
-            }
-        }
-    }
-    return !ctx.debugFlags.empty();
-}
+// OBS-1: stats registration.
 
 const std::set<std::string> statKinds = {
     "Scalar", "Distribution", "TimeSeries",
@@ -363,32 +332,6 @@ checkObs1(Context &ctx, const ScanFile &sf)
         const std::string &line = sf.code[i];
         int lineno = static_cast<int>(i) + 1;
         std::vector<Token> toks = tokensOf(line);
-
-        // DPRINTF(<flag>, ...) flag-registry cross-check.
-        for (std::size_t k = 0; k < toks.size(); ++k) {
-            const Token &t = toks[k];
-            if (t.text != "DPRINTF" && t.text != "DPRINTF_AT")
-                continue;
-            std::size_t l = i, c = t.col + t.text.size();
-            if (nextCharMultiline(sf, l, c, &l, &c) != '(')
-                continue;
-            // First identifier after the open paren is the flag.
-            std::vector<Token> arg_toks = tokensOf(
-                sf.code[l].substr(c + 1));
-            if (arg_toks.empty() && l + 1 < sf.code.size())
-                arg_toks = tokensOf(sf.code[l + 1]);
-            if (arg_toks.empty())
-                continue;
-            const std::string &flag = arg_toks[0].text;
-            if (!ctx.haveFlagRegistry || ctx.debugFlags.count(flag) ||
-                allowed(sf, lineno, "OBS-1")) {
-                continue;
-            }
-            ctx.report(sf, lineno, "OBS-1", flag,
-                       t.text + " flag '" + flag + "' is not in the "
-                       "mda::debug registry (src/sim/debug.hh); the "
-                       "trace line could never be enabled");
-        }
 
         // stats member declarations (headers): "stats::Scalar _a, _b;"
         if (sf.isHeader && toks.size() >= 2) {
@@ -619,7 +562,7 @@ finishObs1(Context &ctx)
 // HDR-1: header hygiene.
 
 /** Expected include guard for @p relpath: MDA_<PATH>_<FILE>_HH with
- *  the leading src/ stripped ("src/sim/debug.hh" -> MDA_SIM_DEBUG_HH,
+ *  the leading src/ stripped ("src/sim/probe.hh" -> MDA_SIM_PROBE_HH,
  *  "tests/core/test_rig.hh" -> MDA_TESTS_CORE_TEST_RIG_HH). */
 std::string
 expectedGuard(const std::string &relpath)
@@ -795,8 +738,6 @@ const char *usage =
     "                       compile_commands.json\n"
     "  --under PREFIX       Keep only inputs under this root-relative\n"
     "                       prefix (e.g. src)\n"
-    "  --debug-header FILE  debug::Flag registry header for OBS-1\n"
-    "                       (default: <root>/src/sim/debug.hh)\n"
     "  --probe-header FILE  ProbePoint registry header for OBS-2\n"
     "                       (default: <root>/src/sim/probe.hh)\n"
     "  --baseline FILE      Suppress findings listed in FILE\n"
@@ -813,8 +754,7 @@ const char *ruleCatalog =
     "       addresses vary run to run)\n"
     "EVT-1  event discipline: no negative schedule()/scheduleAfter()\n"
     "       ticks, no blocking calls in simulator code\n"
-    "OBS-1  DPRINTF flags must exist in the debug::Flag registry;\n"
-    "       stats members must be registered with a StatGroup\n"
+    "OBS-1  stats members must be registered with a StatGroup\n"
     "OBS-2  MDA_PROBE / .fire() sites must name a ProbePoint declared\n"
     "       in the probe registry header (src/sim/probe.hh)\n"
     "HDR-1  include guard MDA_<PATH>_<FILE>_HH, matching #define,\n"
@@ -854,8 +794,6 @@ main(int argc, char **argv)
             opts.compdb = value("--compdb");
         } else if (arg == "--under") {
             opts.under = value("--under");
-        } else if (arg == "--debug-header") {
-            opts.debugHeader = value("--debug-header");
         } else if (arg == "--probe-header") {
             opts.probeHeader = value("--probe-header");
         } else if (arg == "--baseline") {
@@ -888,22 +826,6 @@ main(int argc, char **argv)
     if (!mda::scan::collectInputs(opts.root, opts.inputs, opts.compdb,
                                   opts.under, "mda-lint", files)) {
         return 2;
-    }
-
-    // OBS-1 flag registry.
-    std::string reg = opts.debugHeader;
-    if (reg.empty()) {
-        fs::path def = opts.root / "src" / "sim" / "debug.hh";
-        std::error_code ec;
-        if (fs::exists(def, ec))
-            reg = def.string();
-    }
-    if (!reg.empty()) {
-        ctx.haveFlagRegistry = loadFlagRegistry(ctx, reg);
-        if (!ctx.haveFlagRegistry) {
-            std::cerr << "mda-lint: warning: no Flag declarations in "
-                      << reg << "; OBS-1 flag check disabled\n";
-        }
     }
 
     // OBS-2 probe registry.
