@@ -30,38 +30,6 @@ EventLog::record(Event ev)
 }
 
 void
-EventLog::begin(const std::string &track, const std::string &name,
-                Tick ts)
-{
-    Event ev;
-    ev.ph = 'B';
-    ev.name = name;
-    ev.tid = tidFor(track);
-    ev.ts = ts;
-    if (record(std::move(ev)))
-        _openSlices[tidFor(track)].push_back(name);
-}
-
-void
-EventLog::end(const std::string &track, Tick ts)
-{
-    unsigned tid = tidFor(track);
-    auto &stack = _openSlices[tid];
-    if (stack.empty()) {
-        warn("trace end() with no open slice on track %s",
-             track.c_str());
-        return;
-    }
-    Event ev;
-    ev.ph = 'E';
-    ev.name = stack.back(); // matches the innermost B: well-nested
-    ev.tid = tid;
-    ev.ts = ts;
-    stack.pop_back();
-    record(std::move(ev));
-}
-
-void
 EventLog::asyncBegin(const std::string &track, const std::string &name,
                      std::uint64_t id, Tick ts)
 {

@@ -5,8 +5,6 @@
  * An EventLog records one simulation's activity as trace events on
  * per-component tracks (one Chrome "thread" per component):
  *
- *  - synchronous scopes as well-nested B/E duration events (end() pops
- *    a per-track stack, so nesting holds by construction);
  *  - packet lifetimes (issue -> hit/miss -> fill) as async b/e pairs
  *    keyed by the packet id, so overlapping in-flight requests render
  *    as separate slices;
@@ -53,13 +51,6 @@ class EventLog
     // ---- recording ----
     // Cold: these only run while tracing, so their call blocks are
     // kept out of the hot text of the probe listeners.
-
-    /** Open a synchronous duration slice on @p track. */
-    __attribute__((cold)) void begin(const std::string &track,
-                                     const std::string &name, Tick ts);
-
-    /** Close the innermost open slice on @p track (well-nested). */
-    __attribute__((cold)) void end(const std::string &track, Tick ts);
 
     /** Begin an async slice keyed by @p id (overlapping lifetimes). */
     __attribute__((cold)) void asyncBegin(const std::string &track,
@@ -122,7 +113,6 @@ class EventLog
     std::uint64_t _dropped = 0;
     std::vector<Event> _events;
     std::map<std::string, unsigned> _tracks;
-    std::map<unsigned, std::vector<std::string>> _openSlices;
 };
 
 /**

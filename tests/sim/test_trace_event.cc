@@ -26,8 +26,6 @@ emitted(const EventLog &log)
 TEST(TraceEvent, EmitsValidJsonWithRequiredFields)
 {
     EventLog log;
-    log.begin("l1", "fill", 10);
-    log.end("l1", 20);
     log.asyncBegin("l1", "ReadReq", 7, 12);
     log.asyncEnd("l1", "ReadReq", 7, 30);
     log.complete("mem", "activate", 15, 40);
@@ -36,7 +34,7 @@ TEST(TraceEvent, EmitsValidJsonWithRequiredFields)
 
     auto root = testjson::parse(emitted(log));
     ASSERT_TRUE(root->isArray());
-    ASSERT_GE(root->array.size(), 7u);
+    ASSERT_GE(root->array.size(), 5u);
     for (const auto &ev : root->array) {
         ASSERT_TRUE(ev->isObject());
         EXPECT_TRUE(ev->at("name").isString());
@@ -77,47 +75,6 @@ TEST(TraceEvent, PhaseSpecificFields)
     EXPECT_TRUE(saw_b);
     EXPECT_TRUE(saw_i);
     EXPECT_TRUE(saw_c);
-}
-
-TEST(TraceEvent, DurationEventsAreWellNested)
-{
-    EventLog log;
-    // Interleave two tracks; each must stay well-nested on its own.
-    log.begin("l1", "outer", 0);
-    log.begin("l2", "other", 1);
-    log.begin("l1", "inner", 2);
-    log.end("l1", 3); // closes inner
-    log.end("l2", 4); // closes other
-    log.end("l1", 5); // closes outer
-
-    auto root = testjson::parse(emitted(log));
-    // Replay per-tid B/E sequences against a stack: every E must match
-    // the innermost open B by name, and nothing may stay open.
-    std::map<double, std::vector<std::string>> stacks;
-    for (const auto &ev : root->array) {
-        const std::string &ph = ev->at("ph").string;
-        if (ph == "B") {
-            stacks[ev->at("tid").number].push_back(
-                ev->at("name").string);
-        } else if (ph == "E") {
-            auto &stack = stacks[ev->at("tid").number];
-            ASSERT_FALSE(stack.empty());
-            EXPECT_EQ(ev->at("name").string, stack.back());
-            stack.pop_back();
-        }
-    }
-    for (const auto &[tid, stack] : stacks)
-        EXPECT_TRUE(stack.empty()) << "unclosed slice on tid " << tid;
-}
-
-TEST(TraceEvent, EndWithoutBeginIsIgnored)
-{
-    EventLog log;
-    log.end("l1", 5); // no open slice: warn, drop
-    EXPECT_EQ(log.size(), 0u);
-    auto root = testjson::parse(emitted(log));
-    for (const auto &ev : root->array)
-        EXPECT_NE(ev->at("ph").string, "E");
 }
 
 TEST(TraceEvent, BufferBoundIsHonored)
