@@ -14,6 +14,16 @@
  *  - a fill request is never sent downstream while an overlapping
  *    writeback sits in the write buffer (modified data is propagated
  *    down before a duplicate copy is fetched).
+ *
+ * Sampled simulation's fast-forward (functionalAccess/Writeback) runs
+ * the same state transitions as the timed handlers: each subclass
+ * writes a transition once and calls it from both, passing in only
+ * where dirty words leaving the level go and the timed accounting.
+ * The deliberate differences of fast-forward:
+ *  - prefetch fills install immediately, and training happens last;
+ *  - there is no post-fill duplicate sweep;
+ *  - dense streams always complete;
+ *  - no counters are updated and no evict/dup probes fire.
  */
 
 #ifndef MDA_CACHE_CACHE_BASE_HH

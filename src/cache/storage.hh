@@ -254,6 +254,10 @@ class LineStorage
     {
         _dirty[slot] = mask;
     }
+    void orDirtyMask(StorageSlot slot, std::uint8_t mask)
+    {
+        _dirty[slot] |= mask;
+    }
 
     bool prefetched(StorageSlot slot) const
     {

@@ -92,12 +92,9 @@ class LineCache : public CacheBase
                static_cast<double>(_config.numLines());
     }
 
-    /**
-     * Sampled-simulation fast-forward: apply the access's state
-     * effects (replacement, dirty bits, Fig. 9 duplicate coherence,
-     * prefetcher training) synchronously, with no timing, MSHRs, or
-     * statistics. Misses recurse into the downstream device.
-     */
+    /** Sampled-simulation fast-forward: the timed handlers' state
+     *  transitions, applied synchronously (see cache_base.hh for the
+     *  deliberate differences). Misses recurse into the level below. */
     void functionalAccess(const FunctionalReq &req) override;
     void functionalWriteback(const OrientedLine &line,
                              std::uint8_t mask) override;
@@ -117,55 +114,53 @@ class LineCache : public CacheBase
     /** Slot of @p line, or kNoSlot. */
     StorageSlot lookup(const OrientedLine &line);
 
-    /** Write back @p slot's dirty words (partial) and mark it clean. */
-    void writebackDirty(StorageSlot slot);
+    // State transitions shared by the timed handlers and the
+    // fast-forward entry points. A Path (TimedPath or FunctionalPath,
+    // in line_cache.cc) says where dirty words leaving this level go
+    // and does the caller's own accounting.
+    struct TimedPath;
+    struct FunctionalPath;
 
-    /** Evict a valid slot: write back dirty words, invalidate. */
-    void evict(StorageSlot slot);
+    /** Send @p slot's dirty words down (partial) and mark it clean. */
+    template <class Path>
+    void writebackDirty(StorageSlot slot, Path path);
+
+    /** Evict @p line's victim (dirty words go down), install @p line. */
+    template <class Path>
+    StorageSlot allocate(const OrientedLine &line, Path path);
 
     /**
      * Prepare the cache for writing/filling the words of @p line:
      * for each covered word, write back a dirty crossing copy
      * (Modified -> Clean) and, for words in @p written_mask,
      * invalidate the crossing copy entirely (write to duplicate).
-     * Returns the number of tag probes performed.
      */
-    unsigned prepareLine(const OrientedLine &line,
-                         std::uint8_t covered_mask,
-                         std::uint8_t written_mask);
+    template <class Path>
+    void prepareLine(const OrientedLine &line, std::uint8_t covered_mask,
+                     std::uint8_t written_mask, Path path);
 
-    /** Fig. 9 dup actions for one crossing copy at @p slot. */
-    void dupActions(StorageSlot slot, const OrientedLine &cross,
-                    Addr word, bool written);
+    /** Gather hit: if every word of @p mask sits in a crossing line,
+     *  call @p on_word(k, source) and touch each source. */
+    template <class OnWord>
+    bool gather(const OrientedLine &line, std::uint8_t mask,
+                OnWord &&on_word);
+
+    /** Merge a writeback into a resident copy or a full-line
+     *  allocation via @p write, after purging crossing duplicates;
+     *  false when a partial one has no copy and must pass down. */
+    template <class Path, class Write>
+    bool absorbWriteback(const OrientedLine &line, std::uint8_t mask,
+                         Path path, Write &&write);
+
+    /** Train the stride prefetcher; @p issue each absent candidate. */
+    template <class Issue>
+    void train(Addr pc, Addr addr, Issue &&issue);
 
     /** Copy requested data out of @p slot into @p pkt's payload. */
     void copyOut(StorageSlot slot, Packet &pkt);
 
     /** Apply @p pkt's write data into @p slot (sets dirty bits). */
     void performWrite(StorageSlot slot, const Packet &pkt);
-
-    /** Record a hit on a prefetched line. */
-    void notePrefetchUse(StorageSlot slot);
-
-    /** Feed the stride prefetcher and issue candidate fills. */
-    void train(const Packet &pkt);
-
-    // ---- functional (fast-forward) mirrors: state, no timing ----
-
-    /** Evict @p slot, forwarding dirty words down functionally. */
-    void functionalEvict(StorageSlot slot);
-
-    /** prepareLine()'s state effects without probes or stats. */
-    void functionalDupSweep(const OrientedLine &line,
-                            std::uint8_t covered_mask,
-                            std::uint8_t written_mask);
-
-    /** Fetch-and-install @p line (recursing down), return its slot. */
-    StorageSlot functionalFill(const OrientedLine &line);
-
-    /** Gather-hit probe: if every word of @p mask sits in a crossing
-     *  line, touch those sources and return true (no fill needed). */
-    bool gatherTouch(const OrientedLine &line, std::uint8_t mask);
 
     LineMapping _mapping;
     LineStorage _storage;

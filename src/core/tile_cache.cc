@@ -103,14 +103,125 @@ TileCache::find(std::uint64_t tile)
     return _storage.find(setFor(tile), tile);
 }
 
-bool
-TileCache::pinned(std::uint64_t tile) const
+namespace
 {
-    return _mshr.pinsTile(tile);
+
+/** Tile-mask bit of the word holding scalar address @p addr. */
+unsigned
+scalarBit(Addr addr)
+{
+    return tileWordBit(tileRowOf(addr), tileColOf(addr));
 }
 
+/** Tile-mask words an access touches: a line's @p word_mask, or the
+ *  one word of a scalar at @p addr. */
+std::uint64_t
+accessWords(const OrientedLine &line, Addr addr, bool is_line,
+            std::uint8_t word_mask)
+{
+    return is_line ? tileMaskFor(line, word_mask)
+                   : (1ULL << scalarBit(addr));
+}
+
+/** Call @p fn on each other same-orientation line of @p line's
+ *  block (the dense fill's stream). */
+template <class Fn>
+void
+forEachSibling(const OrientedLine &line, Fn &&fn)
+{
+    for (unsigned idx = 0; idx < tileLines; ++idx)
+        if (idx != line.index())
+            fn(OrientedLine(line.orient, (line.tile() << 3) | idx));
+}
+
+} // namespace
+
+// The timed handlers and the fast-forward entry points share every
+// state transition below; each passes a Path saying where dirty words
+// leaving this level go, what a dense block stream does, and doing its
+// own accounting. Fast-forward's deliberate differences are listed in
+// cache_base.hh.
+
+struct TileCache::TimedPath
+{
+    TileCache &c;
+
+    void
+    spill(StorageSlot slot, const OrientedLine &row,
+          std::uint8_t mask) const
+    {
+        auto wb = Packet::makeWriteback(row, mask, c.curTick(),
+                                        c.packetPool());
+        for (unsigned k = 0; k < lineWords; ++k)
+            if (mask & (1u << k))
+                wb->setWord(k, c._storage.word(slot, tileWordBit(row, k)));
+        wb->wordMask = mask;
+        c.pushWriteback(std::move(wb));
+    }
+
+    void
+    noteEvict(StorageSlot slot) const
+    {
+        ++c._frameEvictions;
+        ++c._evictions;
+        std::uint64_t word_valid = c._storage.wordValid(slot);
+        MDA_PROBE(c._probes.evict,
+                  probe::EvictEvent{
+                      tileBase(c._storage.tile(slot)), Orientation::Row,
+                      static_cast<unsigned>(std::popcount(word_valid)),
+                      static_cast<unsigned>(
+                          std::popcount(c._storage.wordDirty(slot))),
+                      c.curTick()});
+        // Words never filled are never written back — the sparse
+        // design's writeback elision.
+        c._writebackBytesElided += std::popcount(~word_valid) * wordBytes;
+    }
+
+    /** Dense fill: the rest of the block follows the demand fill as
+     *  prefetch fills (dropped if they no longer fit); words already
+     *  valid are skipped when each merges. */
+    void
+    streamBlock(const OrientedLine &line, StorageSlot) const
+    {
+        ++c._denseBlockStreams;
+        forEachSibling(line, [this](const OrientedLine &sibling) {
+            c.issuePrefetch(sibling);
+        });
+    }
+};
+
+struct TileCache::FunctionalPath
+{
+    TileCache &c;
+
+    void
+    spill(StorageSlot, const OrientedLine &row, std::uint8_t mask) const
+    {
+        c._downstream->functionalWriteback(row, mask);
+    }
+
+    void noteEvict(StorageSlot) const {}
+
+    /** A miss: fetch @p line from below, merge its absent words. */
+    void
+    fill(const OrientedLine &line, StorageSlot slot) const
+    {
+        c._downstream->functionalAccess(FunctionalReq::fill(line));
+        c.fillAbsent(slot, line, [](unsigned, unsigned) {});
+    }
+
+    void
+    streamBlock(const OrientedLine &line, StorageSlot slot) const
+    {
+        forEachSibling(line, [&](const OrientedLine &sibling) {
+            fill(sibling, slot);
+        });
+    }
+};
+
+template <class Path>
 StorageSlot
-TileCache::allocFrame(std::uint64_t tile)
+TileCache::allocFrame(std::uint64_t tile, Path path)
 {
     if (StorageSlot hit = find(tile); hit != kNoSlot)
         return hit;
@@ -122,7 +233,7 @@ TileCache::allocFrame(std::uint64_t tile)
             victim = slot;
             break;
         }
-        if (pinned(_storage.tile(slot)))
+        if (_mshr.pinsTile(_storage.tile(slot)))
             continue;
         if (victim == kNoSlot ||
             _storage.lruStamp(slot) < _storage.lruStamp(victim))
@@ -131,120 +242,122 @@ TileCache::allocFrame(std::uint64_t tile)
     if (victim == kNoSlot)
         return kNoSlot; // every way pinned by in-flight fills
     if (_storage.valid(victim))
-        evictFrame(victim);
+        evictFrame(victim, path);
     _storage.installFrame(victim, tile);
     return victim;
 }
 
+template <class Path>
 void
-TileCache::evictFrame(StorageSlot slot)
+TileCache::evictFrame(StorageSlot slot, Path path)
 {
-    ++_frameEvictions;
-    ++_evictions;
-    std::uint64_t tile = _storage.tile(slot);
-    std::uint64_t word_valid = _storage.wordValid(slot);
-    std::uint64_t word_dirty = _storage.wordDirty(slot);
-    MDA_PROBE(_probes.evict,
-              probe::EvictEvent{
-                  tileBase(tile), Orientation::Row,
-                  static_cast<unsigned>(std::popcount(word_valid)),
-                  static_cast<unsigned>(std::popcount(word_dirty)),
-                  curTick()});
-    notePresenceDelta(-std::popcount(word_valid));
+    path.noteEvict(slot);
+    notePresenceDelta(-std::popcount(_storage.wordValid(slot)));
     // Per-row partial writebacks of the dirty words; rows with no
-    // dirty words move nothing. Words never filled are never written
-    // back — the sparse design's writeback elision.
-    std::uint64_t never_filled =
-        ~word_valid & ~0ULL; // bits of absent words
-    _writebackBytesElided +=
-        std::popcount(never_filled) * wordBytes;
+    // dirty words move nothing. Row r's words are byte r of the mask.
+    std::uint64_t tile = _storage.tile(slot);
+    std::uint64_t word_dirty = _storage.wordDirty(slot);
     for (unsigned r = 0; r < tileLines; ++r) {
-        std::uint8_t mask = 0;
-        for (unsigned c = 0; c < lineWords; ++c)
-            if (word_dirty & (1ULL << tileWordBit(r, c)))
-                mask |= static_cast<std::uint8_t>(1u << c);
-        if (!mask)
-            continue;
-        OrientedLine row(Orientation::Row, (tile << 3) | r);
-        auto wb = Packet::makeWriteback(row, mask, curTick(),
-                                        packetPool());
-        for (unsigned c = 0; c < lineWords; ++c)
-            if (mask & (1u << c))
-                wb->setWord(c, _storage.word(slot, tileWordBit(r, c)));
-        wb->wordMask = mask;
-        pushWriteback(std::move(wb));
+        auto mask = static_cast<std::uint8_t>(
+            word_dirty >> tileWordBit(r, 0));
+        if (mask)
+            path.spill(slot, OrientedLine(Orientation::Row,
+                                          (tile << 3) | r),
+                       mask);
     }
     _storage.invalidate(slot);
+}
+
+template <class Path, class Write>
+bool
+TileCache::absorbWriteback(const OrientedLine &line, Path path,
+                           Write &&write)
+{
+    StorageSlot entry = allocFrame(line.tile(), path);
+    if (entry == kNoSlot)
+        return false;
+    // Sparse merge: the writeback's words become valid + dirty with
+    // no read fill — the 2P2L sparse advantage for upper-level
+    // writebacks that miss (paper Section IV-C, Design 2). The dense
+    // policy instead pays to stream in the rest of the block.
+    bool was_absent = (_storage.wordValid(entry) == 0);
+    write(entry);
+    _storage.touch(entry);
+    if (_fill == TileFillPolicy::Dense && was_absent)
+        path.streamBlock(line, entry);
+    return true;
+}
+
+template <class OnWord>
+void
+TileCache::fillAbsent(StorageSlot slot, const OrientedLine &line,
+                      OnWord &&on_word)
+{
+    // Only absent words take the fill data: any word validated by a
+    // write while the fill was in flight is newer than memory.
+    std::uint64_t absent =
+        tileMaskFor(line, 0xff) & ~_storage.wordValid(slot);
+    if (!absent)
+        return;
+    for (unsigned k = 0; k < lineWords; ++k) {
+        unsigned bit = tileWordBit(line, k);
+        if (absent & (1ULL << bit))
+            on_word(bit, k);
+    }
+    _storage.orWordValid(slot, absent);
+    notePresenceDelta(std::popcount(absent));
+}
+
+unsigned
+TileCache::validateWords(StorageSlot slot, std::uint64_t words)
+{
+    auto fresh = static_cast<unsigned>(
+        std::popcount(words & ~_storage.wordValid(slot)));
+    _storage.orWordValid(slot, words);
+    _storage.orWordDirty(slot, words);
+    if (fresh)
+        notePresenceDelta(fresh);
+    return fresh;
 }
 
 void
 TileCache::copyOut(StorageSlot slot, Packet &pkt)
 {
     if (!pkt.isLine()) {
-        unsigned bit = tileWordBit(tileRowOf(pkt.addr),
-                                   tileColOf(pkt.addr));
-        pkt.setWord(0, _storage.word(slot, bit));
+        pkt.setWord(0, _storage.word(slot, scalarBit(pkt.addr)));
         pkt.wordMask = 0x01;
         return;
     }
     OrientedLine line = pkt.line();
-    for (unsigned k = 0; k < lineWords; ++k) {
-        if (!(pkt.wordMask & (1u << k)))
-            continue;
-        unsigned bit = (line.orient == Orientation::Row)
-                           ? tileWordBit(line.index(), k)
-                           : tileWordBit(k, line.index());
-        pkt.setWord(k, _storage.word(slot, bit));
-    }
+    for (unsigned k = 0; k < lineWords; ++k)
+        if (pkt.wordMask & (1u << k))
+            pkt.setWord(k, _storage.word(slot, tileWordBit(line, k)));
 }
 
 void
 TileCache::performWrite(StorageSlot slot, const Packet &pkt)
 {
-    if (!pkt.isLine()) {
-        unsigned bit = tileWordBit(tileRowOf(pkt.addr),
-                                   tileColOf(pkt.addr));
-        _storage.setWord(slot, bit, pkt.word(0));
-        std::uint64_t m = 1ULL << bit;
-        unsigned fresh =
-            std::popcount(m & ~_storage.wordValid(slot));
-        _writeValidates += fresh;
-        _storage.orWordValid(slot, m);
-        _storage.orWordDirty(slot, m);
-        if (fresh)
-            notePresenceDelta(fresh);
-        return;
-    }
     OrientedLine line = pkt.line();
-    unsigned validated = 0;
-    for (unsigned k = 0; k < lineWords; ++k) {
-        if (!(pkt.wordMask & (1u << k)))
-            continue;
-        unsigned bit = (line.orient == Orientation::Row)
-                           ? tileWordBit(line.index(), k)
-                           : tileWordBit(k, line.index());
-        _storage.setWord(slot, bit, pkt.word(k));
-        std::uint64_t m = 1ULL << bit;
-        validated += std::popcount(m & ~_storage.wordValid(slot));
-        _storage.orWordValid(slot, m);
-        _storage.orWordDirty(slot, m);
+    if (!pkt.isLine()) {
+        _storage.setWord(slot, scalarBit(pkt.addr), pkt.word(0));
+    } else {
+        for (unsigned k = 0; k < lineWords; ++k)
+            if (pkt.wordMask & (1u << k))
+                _storage.setWord(slot, tileWordBit(line, k), pkt.word(k));
     }
-    _writeValidates += validated;
-    if (validated)
-        notePresenceDelta(validated);
+    _writeValidates += validateWords(
+        slot, accessWords(line, pkt.addr, pkt.isLine(), pkt.wordMask));
 }
 
 void
 TileCache::handleDemand(PacketPtr pkt)
 {
+    const TimedPath timed{*this};
     bool is_write = (pkt->cmd == MemCmd::Write);
     OrientedLine line = pkt->line();
     std::uint64_t tile = line.tile();
     std::uint64_t needed =
-        pkt->isLine()
-            ? tileMaskFor(line, pkt->wordMask)
-            : (1ULL << tileWordBit(tileRowOf(pkt->addr),
-                                   tileColOf(pkt->addr)));
+        accessWords(line, pkt->addr, pkt->isLine(), pkt->wordMask);
 
     StorageSlot entry = find(tile);
 
@@ -254,7 +367,7 @@ TileCache::handleDemand(PacketPtr pkt)
             entry != kNoSlot &&
             (_storage.wordValid(entry) & needed) == needed;
         if (entry == kNoSlot) {
-            entry = allocFrame(tile);
+            entry = allocFrame(tile, timed);
             if (entry == kNoSlot) {
                 defer(std::move(pkt));
                 return;
@@ -302,7 +415,7 @@ TileCache::handleDemand(PacketPtr pkt)
             return;
         }
         // Reserve (and pin) the frame before requesting the fill.
-        entry = allocFrame(tile);
+        entry = allocFrame(tile, timed);
         if (entry == kNoSlot) {
             defer(std::move(pkt));
             return;
@@ -321,179 +434,20 @@ TileCache::handleDemand(PacketPtr pkt)
     bool fresh_entry = (inflight == nullptr);
     allocateMiss(std::move(pkt), line, inflight);
     // Stream the rest of the block after the demand line has its
-    // entry; prefetches that no longer fit are dropped (best effort).
+    // entry.
     if (fresh_entry && _fill == TileFillPolicy::Dense)
-        streamBlock(line);
-}
-
-void
-TileCache::streamBlock(const OrientedLine &line)
-{
-    // Dense fill: the remaining same-orientation lines of the block
-    // follow the demand fill (critical row/column first). Modeled as
-    // prefetch fills; already-valid words are skipped at merge time.
-    ++_denseBlockStreams;
-    for (unsigned idx = 0; idx < tileLines; ++idx) {
-        if (idx == line.index())
-            continue;
-        OrientedLine sibling(line.orient, (line.tile() << 3) | idx);
-        issuePrefetch(sibling);
-    }
-}
-
-// ---- functional (fast-forward) path ----------------------------------
-//
-// State-only mirrors of the timed handlers for sampled simulation's
-// fast-forward phase. No packets, MSHRs, latencies, or counters;
-// the presence gauge (simulation state, audited by checkInvariants)
-// is kept in sync. Timed-mode resource limits do not apply: frames
-// are never pinned (no fills in flight) and dense block streams
-// always complete instead of being dropped on MSHR pressure.
-
-StorageSlot
-TileCache::functionalAllocFrame(std::uint64_t tile)
-{
-    if (StorageSlot hit = find(tile); hit != kNoSlot)
-        return hit;
-    std::uint64_t set = setFor(tile);
-    StorageSlot victim = _storage.slotOf(set, 0);
-    for (unsigned w = 0; w < _config.ways; ++w) {
-        StorageSlot slot = _storage.slotOf(set, w);
-        if (!_storage.valid(slot)) {
-            victim = slot;
-            break;
-        }
-        if (_storage.lruStamp(slot) < _storage.lruStamp(victim))
-            victim = slot;
-    }
-    if (_storage.valid(victim))
-        functionalEvictFrame(victim);
-    _storage.installFrame(victim, tile);
-    return victim;
-}
-
-void
-TileCache::functionalEvictFrame(StorageSlot slot)
-{
-    std::uint64_t tile = _storage.tile(slot);
-    std::uint64_t word_valid = _storage.wordValid(slot);
-    std::uint64_t word_dirty = _storage.wordDirty(slot);
-    notePresenceDelta(-std::popcount(word_valid));
-    for (unsigned r = 0; r < tileLines; ++r) {
-        std::uint8_t mask = 0;
-        for (unsigned c = 0; c < lineWords; ++c)
-            if (word_dirty & (1ULL << tileWordBit(r, c)))
-                mask |= static_cast<std::uint8_t>(1u << c);
-        if (!mask)
-            continue;
-        OrientedLine row(Orientation::Row, (tile << 3) | r);
-        _downstream->functionalWriteback(row, mask);
-    }
-    _storage.invalidate(slot);
-}
-
-void
-TileCache::functionalFillLine(const OrientedLine &line,
-                              StorageSlot slot)
-{
-    FunctionalReq down;
-    down.line = line;
-    down.addr = line.baseAddr();
-    down.wordMask = 0xff;
-    down.isLine = true;
-    _downstream->functionalAccess(down);
-    std::uint64_t fill =
-        tileMaskFor(line, 0xff) & ~_storage.wordValid(slot);
-    if (fill) {
-        _storage.orWordValid(slot, fill);
-        notePresenceDelta(std::popcount(fill));
-    }
-}
-
-void
-TileCache::functionalAccess(const FunctionalReq &req)
-{
-    OrientedLine line = req.line;
-    std::uint64_t tile = line.tile();
-    std::uint64_t needed =
-        req.isLine
-            ? tileMaskFor(line, req.wordMask)
-            : (1ULL << tileWordBit(tileRowOf(req.addr),
-                                   tileColOf(req.addr)));
-
-    if (req.isWrite) {
-        // Word-granular write-validate: no fetch is ever needed.
-        StorageSlot entry = functionalAllocFrame(tile);
-        std::uint64_t fresh = needed & ~_storage.wordValid(entry);
-        _storage.orWordValid(entry, needed);
-        _storage.orWordDirty(entry, needed);
-        if (fresh)
-            notePresenceDelta(std::popcount(fresh));
-        _storage.touch(entry);
-        return;
-    }
-
-    StorageSlot entry = find(tile);
-    if (entry != kNoSlot &&
-        (_storage.wordValid(entry) & needed) == needed) {
-        _storage.touch(entry);
-        return;
-    }
-    entry = functionalAllocFrame(tile);
-    functionalFillLine(line, entry);
-    _storage.touch(entry);
-    if (_fill == TileFillPolicy::Dense) {
-        for (unsigned idx = 0; idx < tileLines; ++idx) {
-            if (idx == line.index())
-                continue;
-            OrientedLine sibling(line.orient, (tile << 3) | idx);
-            functionalFillLine(sibling, entry);
-        }
-    }
-}
-
-void
-TileCache::functionalWriteback(const OrientedLine &line,
-                               std::uint8_t mask)
-{
-    StorageSlot entry = functionalAllocFrame(line.tile());
-    bool was_absent = (_storage.wordValid(entry) == 0);
-    std::uint64_t words = tileMaskFor(line, mask);
-    std::uint64_t fresh = words & ~_storage.wordValid(entry);
-    _storage.orWordValid(entry, words);
-    _storage.orWordDirty(entry, words);
-    if (fresh)
-        notePresenceDelta(std::popcount(fresh));
-    _storage.touch(entry);
-    if (_fill == TileFillPolicy::Dense && was_absent) {
-        for (unsigned idx = 0; idx < tileLines; ++idx) {
-            if (idx == line.index())
-                continue;
-            OrientedLine sibling(line.orient,
-                                 (line.tile() << 3) | idx);
-            functionalFillLine(sibling, entry);
-        }
-    }
+        timed.streamBlock(line, entry);
 }
 
 void
 TileCache::handleWriteback(PacketPtr pkt)
 {
-    OrientedLine line = pkt->line();
-    StorageSlot entry = allocFrame(line.tile());
-    if (entry == kNoSlot) {
+    // Every way pinned by in-flight fills: retry after one retires.
+    if (!absorbWriteback(pkt->line(), TimedPath{*this},
+                         [&](StorageSlot slot) {
+                             performWrite(slot, *pkt);
+                         }))
         defer(std::move(pkt));
-        return;
-    }
-    // Sparse merge: the writeback's words become valid + dirty with
-    // no read fill — the 2P2L sparse advantage for upper-level
-    // writebacks that miss (paper Section IV-C, Design 2). The dense
-    // policy instead pays to stream in the rest of the block.
-    bool was_absent = (_storage.wordValid(entry) == 0);
-    performWrite(entry, *pkt);
-    _storage.touch(entry);
-    if (_fill == TileFillPolicy::Dense && was_absent)
-        streamBlock(pkt->line());
 }
 
 void
@@ -511,23 +465,9 @@ TileCache::handleFill(PacketPtr pkt)
     mda_assert(entry != kNoSlot,
                "fill arrived for an unpinned/absent frame");
     ++_sparseLineFills;
-
-    // Only absent words take the fill data: any word validated by a
-    // write while the fill was in flight is newer than memory.
-    unsigned filled = 0;
-    for (unsigned k = 0; k < lineWords; ++k) {
-        unsigned bit = (line.orient == Orientation::Row)
-                           ? tileWordBit(line.index(), k)
-                           : tileWordBit(k, line.index());
-        std::uint64_t m = 1ULL << bit;
-        if (_storage.wordValid(entry) & m)
-            continue;
+    fillAbsent(entry, line, [&](unsigned bit, unsigned k) {
         _storage.setWord(entry, bit, pkt->word(k));
-        _storage.orWordValid(entry, m);
-        ++filled;
-    }
-    if (filled)
-        notePresenceDelta(filled);
+    });
     _storage.touch(entry);
 
     for (auto &target : targets) {
@@ -538,6 +478,44 @@ TileCache::handleFill(PacketPtr pkt)
         respond(std::move(target), delay);
     }
     trySendQueues();
+}
+
+void
+TileCache::functionalAccess(const FunctionalReq &req)
+{
+    const FunctionalPath path{*this};
+    OrientedLine line = req.line;
+    std::uint64_t needed =
+        accessWords(line, req.addr, req.isLine, req.wordMask);
+
+    if (req.isWrite) {
+        // Word-granular write-validate: no fetch is ever needed.
+        StorageSlot entry = allocFrame(line.tile(), path);
+        validateWords(entry, needed);
+        _storage.touch(entry);
+        return;
+    }
+
+    StorageSlot entry = find(line.tile());
+    if (entry != kNoSlot &&
+        (_storage.wordValid(entry) & needed) == needed) {
+        _storage.touch(entry);
+        return;
+    }
+    entry = allocFrame(line.tile(), path);
+    path.fill(line, entry);
+    _storage.touch(entry);
+    if (_fill == TileFillPolicy::Dense)
+        path.streamBlock(line, entry);
+}
+
+void
+TileCache::functionalWriteback(const OrientedLine &line,
+                               std::uint8_t mask)
+{
+    absorbWriteback(line, FunctionalPath{*this}, [&](StorageSlot slot) {
+        validateWords(slot, tileMaskFor(line, mask));
+    });
 }
 
 } // namespace mda

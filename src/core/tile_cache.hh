@@ -40,19 +40,23 @@ tileWordBit(unsigned row, unsigned col)
     return row * lineWords + col;
 }
 
+/** Bit position of word @p k of @p line in its tile's masks. */
+inline unsigned
+tileWordBit(const OrientedLine &line, unsigned k)
+{
+    return (line.orient == Orientation::Row)
+               ? tileWordBit(line.index(), k)
+               : tileWordBit(k, line.index());
+}
+
 /** 64-bit tile mask covered by @p word_mask of @p line. */
 constexpr std::uint64_t
 tileMaskFor(const OrientedLine &line, std::uint8_t word_mask)
 {
     std::uint64_t mask = 0;
-    for (unsigned k = 0; k < lineWords; ++k) {
-        if (!(word_mask & (1u << k)))
-            continue;
-        unsigned bit = (line.orient == Orientation::Row)
-                           ? tileWordBit(line.index(), k)
-                           : tileWordBit(k, line.index());
-        mask |= (1ULL << bit);
-    }
+    for (unsigned k = 0; k < lineWords; ++k)
+        if (word_mask & (1u << k))
+            mask |= (1ULL << tileWordBit(line, k));
     return mask;
 }
 
@@ -98,12 +102,10 @@ class TileCache : public CacheBase
     TileStorage &storage() { return _storage; }
     const TileStorage &storage() const { return _storage; }
 
-    /**
-     * Sampled-simulation fast-forward: apply the access's state
-     * effects (frame replacement, word presence/dirty bits, sparse
-     * fills, dense block streaming) synchronously, with no timing,
-     * MSHRs, or statistics beyond the presence gauge.
-     */
+    /** Sampled-simulation fast-forward: the timed handlers' state
+     *  transitions, applied synchronously (see cache_base.hh for the
+     *  deliberate differences); the presence gauge, which is state,
+     *  stays in sync. Misses recurse into the level below. */
     void functionalAccess(const FunctionalReq &req) override;
     void functionalWriteback(const OrientedLine &line,
                              std::uint8_t mask) override;
@@ -117,39 +119,46 @@ class TileCache : public CacheBase
     /** Slot of @p tile's frame, or kNoSlot. */
     StorageSlot find(std::uint64_t tile);
 
-    /** True when any in-flight fill targets @p tile (frame pinned). */
-    bool pinned(std::uint64_t tile) const;
+    // State transitions shared by the timed handlers and the
+    // fast-forward entry points. A Path (TimedPath or FunctionalPath,
+    // in tile_cache.cc) says where dirty words leaving this level go,
+    // what a dense block stream does, and does its own accounting.
+    struct TimedPath;
+    struct FunctionalPath;
 
-    /**
-     * Find-or-allocate the frame for @p tile; evicts an unpinned
-     * victim if needed. Returns kNoSlot when every way is pinned.
-     */
-    StorageSlot allocFrame(std::uint64_t tile);
+    /** Find-or-allocate the frame for @p tile, evicting an unpinned
+     *  victim; kNoSlot when every way is pinned by in-flight fills. */
+    template <class Path>
+    StorageSlot allocFrame(std::uint64_t tile, Path path);
 
-    /** Write back all dirty words (per-row partial writebacks) and
-     *  invalidate the frame. */
-    void evictFrame(StorageSlot slot);
+    /** Send the frame's dirty words down (per-row partial
+     *  writebacks) and invalidate it. */
+    template <class Path>
+    void evictFrame(StorageSlot slot, Path path);
+
+    /** Merge a writeback into its frame via @p write; the dense
+     *  policy then streams in the rest of a block that held no words.
+     *  False when no frame could be allocated (every way pinned). */
+    template <class Path, class Write>
+    bool absorbWriteback(const OrientedLine &line, Path path,
+                         Write &&write);
+
+    /** Validate @p line's absent words in @p slot, calling
+     *  @p on_word(bit, k) for each (present words are newer). */
+    template <class OnWord>
+    void fillAbsent(StorageSlot slot, const OrientedLine &line,
+                    OnWord &&on_word);
+
+    /** Mark @p words of @p slot valid + dirty (write-validate, no
+     *  fetch); returns how many were absent. */
+    unsigned validateWords(StorageSlot slot, std::uint64_t words);
 
     void copyOut(StorageSlot slot, Packet &pkt);
     void performWrite(StorageSlot slot, const Packet &pkt);
 
-    /** Dense mode: stream the rest of @p line's block. */
-    void streamBlock(const OrientedLine &line);
-
     /** Keep the running presence-bit population in sync (trace
      *  counter + wordsPresent stat) across validate/fill/evict. */
     void notePresenceDelta(std::int64_t delta);
-
-    // ---- functional (fast-forward) mirrors: state, no timing ----
-
-    /** allocFrame() without MSHR pinning (no fills are in flight). */
-    StorageSlot functionalAllocFrame(std::uint64_t tile);
-
-    /** Evict @p slot, forwarding dirty rows down functionally. */
-    void functionalEvictFrame(StorageSlot slot);
-
-    /** Fetch @p line below and validate its absent words. */
-    void functionalFillLine(const OrientedLine &line, StorageSlot slot);
 
     std::uint64_t _sets;
     /** Reciprocal for the `% _sets` in setFor() (lookup hot path;

@@ -51,6 +51,13 @@ struct FunctionalReq
     std::uint8_t wordMask = 0x01; ///< Words touched (line ops).
     bool isLine = false;
     bool isWrite = false;
+
+    /** The full-line read a missing level sends below to fill @p l. */
+    static FunctionalReq
+    fill(const OrientedLine &l)
+    {
+        return {l, l.baseAddr(), 0, 0xff, true, false};
+    }
 };
 
 /** Downward-facing interface: accepts requests from the level above. */
