@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 namespace mda
@@ -449,11 +450,13 @@ System::runSampled()
         double var = 0.0;
         for (double r : rates[i])
             var += (r - mean) * (r - mean);
+        // One window has no window-to-window variance: its CI is
+        // unknown (written as null), not zero.
         std::size_t n = rates[i].size();
         double stderr_rate =
             n > 1 ? std::sqrt(var / static_cast<double>(n - 1) /
                               static_cast<double>(n))
-                  : 0.0;
+                  : std::numeric_limits<double>::quiet_NaN();
         double estimate = mean * static_cast<double>(totalOps);
         double ci95 =
             1.96 * stderr_rate * static_cast<double>(totalOps);

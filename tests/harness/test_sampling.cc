@@ -9,7 +9,7 @@
  * residual non-sampling bias at window boundaries). The periods are
  * scaled to the workload so every scenario yields enough measured
  * windows for a meaningful variance estimate — a single window's
- * CI is degenerate (zero).
+ * CI is unknown (written as null).
  *
  * One documented exclusion: mem.rowBufHits is a rare-event stat
  * (~1% of memory requests) dominated by bursty end-of-run writeback
@@ -183,7 +183,7 @@ INSTANTIATE_TEST_SUITE_P(
         // Long run, light sampling: 54 windows, 20% timed.
         Scenario{"sgemm", 128, 10000, 1000},
         // Tiny run: the period must shrink with it or the whole
-        // trace fits in one window and the CI degenerates to zero.
+        // trace fits in one window and the CI is unknown (null).
         Scenario{"kv", 128, 200, 50},
         // Pure streaming: maximal fill traffic, the case that pins
         // the symmetric window-boundary measurement.
@@ -204,6 +204,29 @@ tinySampled()
     spec.system.samplePeriod = 1000;
     spec.system.sampleWindow = 100;
     return spec;
+}
+
+TEST(Sampling, OneWindowReportsUnknownConfidenceIntervals)
+{
+    // The period outruns the whole trace: one warm-up + window pair,
+    // then fast-forward to the end. One window has no variance, so
+    // every CI is unknown (null), never a falsely exact 0.
+    RunSpec spec = tinySampled();
+    spec.system.samplePeriod = 1000000;
+    PreparedRun run(spec);
+    run.system.run();
+
+    const std::string meta = run.system.statGroup().meta("sampling");
+    ASSERT_EQ(parseMetaCount(meta, "windows"), 1u);
+    const std::string tag = "\"ci95\":";
+    std::size_t cis = 0, nulls = 0;
+    for (std::size_t pos = meta.find(tag); pos != std::string::npos;
+         pos = meta.find(tag, pos + 1)) {
+        ++cis;
+        nulls += meta.compare(pos + tag.size(), 4, "null") == 0;
+    }
+    EXPECT_GT(cis, 0u);
+    EXPECT_EQ(nulls, cis) << meta;
 }
 
 TEST(SamplingDeathTest, RejectsCheckData)
