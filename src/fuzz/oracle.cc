@@ -6,6 +6,7 @@
 
 #include "core/line_cache.hh"
 #include "core/tile_cache.hh"
+#include "harness/system.hh"
 #include "mem/mda_memory.hh"
 #include "reference_model.hh"
 #include "sim/event_queue.hh"
@@ -84,7 +85,7 @@ class DesignRun
 
         for (std::size_t n = 0; n < cfg.levels.size(); ++n) {
             CacheConfig c = levelConfig(cfg, n, design);
-            std::string name = "l" + std::to_string(n + 1);
+            std::string name = System::levelName(n);
             bool is_llc = (n + 1 == cfg.levels.size());
             if (is_llc && tile_llc) {
                 auto tile = std::make_unique<TileCache>(name, _eq, _sg,

@@ -12,7 +12,11 @@ namespace mda
 std::string
 System::levelName(std::size_t idx)
 {
-    return "l" + std::to_string(idx + 1);
+    // Not "l" + std::to_string(...): gcc 12 reports a false
+    // -Wrestrict for a literal prepended to a temporary at -O3.
+    std::string name = std::to_string(idx + 1);
+    name.insert(name.begin(), 'l');
+    return name;
 }
 
 System::System(const SystemConfig &config,

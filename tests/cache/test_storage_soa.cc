@@ -288,9 +288,16 @@ INSTANTIATE_TEST_SUITE_P(
         // Single-set corner: victim policy is fully exposed.
         Geometry{1, 8, 3}),
     [](const ::testing::TestParamInfo<Geometry> &param_info) {
-        return "s" + std::to_string(param_info.param.sets) + "w" +
-               std::to_string(param_info.param.ways) + "t" +
-               std::to_string(param_info.param.tiles);
+        // Appended piecewise: gcc 12 reports a false -Wrestrict for a
+        // literal prepended to a temporary at -O3.
+        const Geometry &g = param_info.param;
+        std::string name = "s";
+        name += std::to_string(g.sets);
+        name += 'w';
+        name += std::to_string(g.ways);
+        name += 't';
+        name += std::to_string(g.tiles);
+        return name;
     });
 
 } // namespace
