@@ -266,6 +266,7 @@ class CellRunner
     ~CellRunner()
     {
         if (!_statsJsonPath.empty()) {
+            // MDA_LINT_ALLOW(TRC-1): text stats JSON, not a binary trace.
             std::ofstream os(_statsJsonPath);
             if (!os) {
                 std::cerr << "cannot write stats JSON: "
@@ -282,6 +283,7 @@ class CellRunner
             }
         }
         if (!_statsJsonlPath.empty()) {
+            // MDA_LINT_ALLOW(TRC-1): text stats JSONL, not a binary trace.
             std::ofstream os(_statsJsonlPath);
             if (!os) {
                 std::cerr << "cannot write stats JSONL: "

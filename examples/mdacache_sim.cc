@@ -225,6 +225,7 @@ main(int argc, char **argv)
         all ? workloads::workloadNames()
             : std::vector<std::string>{spec.workload};
 
+    // MDA_LINT_ALLOW(TRC-1): text stats JSON, not a binary trace.
     std::ofstream stats_json;
     if (!stats_json_path.empty()) {
         stats_json.open(stats_json_path);
@@ -278,6 +279,7 @@ main(int argc, char **argv)
     if (!stats_jsonl_path.empty()) {
         // Each workload's buffered stream in workload order: the file
         // is identical at any --jobs.
+        // MDA_LINT_ALLOW(TRC-1): text stats JSONL, not a binary trace.
         std::ofstream jsonl(stats_jsonl_path);
         if (!jsonl)
             fatal("cannot write stats JSONL: %s",
@@ -291,6 +293,8 @@ main(int argc, char **argv)
         std::vector<const trace::EventLog *> logs;
         for (auto &run : runs)
             logs.push_back(run.run->system.traceLog());
+        // MDA_LINT_ALLOW(TRC-1): Chrome trace-event JSON, not a binary
+        // trace.
         std::ofstream trace_file(trace_out_path);
         if (!trace_file)
             warn("cannot write trace file: %s", trace_out_path.c_str());

@@ -1,7 +1,7 @@
 // Fixture: SUP-1 suppression hygiene for mda-lint. A reasoned allow
 // on clean code (suppresses nothing → stale), an allow naming a rule
-// neither tool owns, and an allow for an mda-analyze rule, which
-// mda-lint must leave alone entirely (that tool judges it).
+// that does not exist, and an allow for a whole-program rule that no
+// finding needs, which is just as stale as a per-file one.
 #include <cstdint>
 #include <map>
 
@@ -16,7 +16,7 @@ hygiene(std::uint64_t key)
     // MDA_LINT_ALLOW(DET-9): no such rule exists. (line 16)
     int x = static_cast<int>(key);
 
-    // MDA_LINT_ALLOW(CONC-1): mda-analyze's rule; mda-lint must not
-    // consume or report this annotation.
+    // MDA_LINT_ALLOW(CONC-1): nothing here is a static, so this
+    // suppresses nothing and must be flagged stale. (line 19)
     static_cast<void>(x);
 }

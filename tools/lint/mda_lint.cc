@@ -6,7 +6,8 @@
  * The simulator makes hard behavioural promises — byte-identical
  * --stats-json for any --jobs count, fuzz outcomes that are a pure
  * function of (--seed, --start+i) — and this tool statically enforces
- * the coding discipline those promises rest on. Rules (stable IDs):
+ * the coding discipline those promises rest on. Per-file rules
+ * (stable IDs), checked here:
  *
  *   DET-1  No nondeterminism sources (std::rand, time(), wall clocks,
  *          std::random_device) in simulator code. Seeded mda::Rng is
@@ -48,12 +49,17 @@
  *          from trace_format.hh. Non-trace file I/O elsewhere
  *          (stats JSON, fuzz repro files) must carry a reasoned
  *          annotation.
- *   SUP-1  Suppression hygiene (meta-rule, not suppressible): every
- *          MDA_LINT_ALLOW for an mda-lint rule must carry a reason
- *          and must suppress a live finding; an allow that matches
- *          nothing is stale and is itself a finding, as is an allow
- *          naming a rule no tool owns. Stale baseline entries
- *          likewise fail the run instead of silently passing.
+ *
+ * The whole-program rules LIF-1/2/3 (packet lifecycle) and CONC-1/2/3
+ * (concurrency discipline) run next, over all files at once
+ * (whole_program.cc). Last comes the meta-rule:
+ *
+ *   SUP-1  Suppression hygiene (not suppressible): every
+ *          MDA_LINT_ALLOW must carry a reason and must suppress a
+ *          live finding; an allow that matches nothing is stale and
+ *          is itself a finding, as is an allow naming no known rule.
+ *          Stale baseline entries likewise fail the run instead of
+ *          silently passing.
  *
  * Suppressions: a finding is waived by a comment on the same line or
  * the line directly above:
@@ -65,10 +71,9 @@
  * "RULE<TAB>file<TAB>key" triple per line) grandfathers findings so
  * CI can gate on *new* findings only; the shipped baseline is empty.
  *
- * This translation unit is the tokenizer fallback engine: the shared
- * scanning/suppression/baseline machinery lives in
- * tools/common/scan.hh (also used by mda-analyze). It is deliberately
- * conservative and std-only so the CI gate runs on any toolchain.
+ * The scanning/suppression/baseline machinery lives in scan.hh. The
+ * engine is deliberately conservative and std-only so the CI gate
+ * runs on any toolchain.
  */
 
 #include <algorithm>
@@ -76,6 +81,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <map>
 #include <set>
@@ -83,7 +89,8 @@
 #include <string>
 #include <vector>
 
-#include "tools/common/scan.hh"
+#include "scan.hh"
+#include "whole_program.hh"
 
 namespace fs = std::filesystem;
 
@@ -112,10 +119,6 @@ struct Options
     std::string baselinePath;
     std::string writeBaselinePath;
     std::vector<std::string> inputs;
-    std::string compdb;
-    std::string under; ///< Restrict all inputs to this root-relative
-                       ///< prefix (e.g. "src").
-    bool quiet = false;
 };
 
 struct Context
@@ -728,47 +731,73 @@ checkTrc1(Context &ctx, const ScanFile &sf)
 // Driver.
 
 const char *usage =
-    "usage: mda-lint [options] [path...]\n"
+    "usage: mda-lint [options] path...\n"
     "\n"
     "Paths may be files or directories (walked recursively for\n"
     ".cc/.cpp/.hh/.h/.hpp). Options:\n"
     "  --root DIR           Repo root for relative paths and guard\n"
     "                       names (default: cwd)\n"
-    "  --compdb FILE        Add every \"file\" in a\n"
-    "                       compile_commands.json\n"
-    "  --under PREFIX       Keep only inputs under this root-relative\n"
-    "                       prefix (e.g. src)\n"
     "  --probe-header FILE  ProbePoint registry header for OBS-2\n"
     "                       (default: <root>/src/sim/probe.hh)\n"
     "  --baseline FILE      Suppress findings listed in FILE\n"
     "  --write-baseline FILE  Write current findings as a baseline\n"
-    "  --list-rules         Print the rule catalog and exit\n"
-    "  -q, --quiet          Only print findings and the summary\n";
+    "  --list-rules         Print the rule catalog and exit\n";
 
-const char *ruleCatalog =
-    "DET-1  no nondeterminism sources (rand/time/wall clocks/\n"
-    "       random_device) in simulator code\n"
-    "DET-2  no unordered_map/unordered_set (iteration order leaks\n"
-    "       into stats, traces, event order)\n"
-    "DET-3  no uintptr_t/intptr_t (address-derived ordering; heap\n"
-    "       addresses vary run to run)\n"
-    "EVT-1  event discipline: no negative schedule()/scheduleAfter()\n"
-    "       ticks, no blocking calls in simulator code\n"
-    "OBS-1  stats members must be registered with a StatGroup\n"
-    "OBS-2  MDA_PROBE / .fire() sites must name a ProbePoint declared\n"
-    "       in the probe registry header (src/sim/probe.hh)\n"
-    "HDR-1  include guard MDA_<PATH>_<FILE>_HH, matching #define,\n"
-    "       no 'using namespace' in headers, no <iostream> in model\n"
-    "       headers\n"
-    "TRC-1  raw file I/O (fopen/fstream family/mmap) is confined to\n"
-    "       src/trace/; binary traces go through TraceWriter /\n"
-    "       TraceReader, non-trace file I/O needs a reasoned allow\n"
-    "SUP-1  suppression hygiene (not suppressible): every allow must\n"
-    "       carry a reason and suppress a live finding; stale allows\n"
-    "       and stale baseline entries fail the run\n"
-    "\n"
-    "Suppress one finding with a reasoned comment on the same line\n"
-    "or the line above: // MDA_LINT_ALLOW(<rule>): <reason>\n";
+/** The rule registry: every rule ID with its --list-rules summary. */
+struct Rule
+{
+    const char *id;
+    const char *summary;
+};
+
+const Rule rules[] = {
+    {"DET-1", "no nondeterminism sources (rand/time/wall clocks/\n"
+              "       random_device) in simulator code"},
+    {"DET-2", "no unordered_map/unordered_set (iteration order leaks\n"
+              "       into stats, traces, event order)"},
+    {"DET-3", "no uintptr_t/intptr_t (address-derived ordering; heap\n"
+              "       addresses vary run to run)"},
+    {"EVT-1", "event discipline: no negative schedule()/\n"
+              "       scheduleAfter() ticks, no blocking calls in\n"
+              "       simulator code"},
+    {"OBS-1", "stats members must be registered with a StatGroup"},
+    {"OBS-2", "MDA_PROBE / .fire() sites must name a ProbePoint\n"
+              "       declared in the probe registry header\n"
+              "       (src/sim/probe.hh)"},
+    {"HDR-1", "include guard MDA_<PATH>_<FILE>_HH, matching #define,\n"
+              "       no 'using namespace' in headers, no <iostream> in\n"
+              "       model headers"},
+    {"TRC-1", "raw file I/O (fopen/fstream family/mmap) is confined\n"
+              "       to src/trace/; binary traces go through\n"
+              "       TraceWriter / TraceReader, non-trace file I/O\n"
+              "       needs a reasoned allow"},
+    {"LIF-1", "pooled-packet double release or leak: a raw Packet*\n"
+              "       from .release() must be handed off exactly once\n"
+              "       (re-wrapped, released, or value-captured into a\n"
+              "       callback); releases through callees are tracked\n"
+              "       across files"},
+    {"LIF-2", "use-after-release: dereferencing a raw Packet* after\n"
+              "       it went back to the pool (the slot may be\n"
+              "       recycled)"},
+    {"LIF-3", "scheduled callbacks (schedule/scheduleAfter/\n"
+              "       InlineCallback) must not capture by reference;\n"
+              "       the enclosing frame is gone when they run"},
+    {"CONC-1", "no mutable namespace/class/function-local statics\n"
+               "       (and extern mutable globals) outside an annotated\n"
+               "       allowlist; const, std::atomic, mutexes,\n"
+               "       thread_local are exempt"},
+    {"CONC-2", "everything a sweep worker lambda writes must be\n"
+               "       worker-confined: local, by-value, indexed by the\n"
+               "       worker parameter, or lock-guarded (including via\n"
+               "       called methods whose writes are all lock-guarded)"},
+    {"CONC-3", "atomics must not be read-modify-written non-atomically\n"
+               "       (a = a + 1, store(load())); use fetch_add /\n"
+               "       compare_exchange"},
+    {"SUP-1", "suppression hygiene (not suppressible): every allow\n"
+              "       must carry a reason and suppress a live finding;\n"
+              "       stale allows and stale baseline entries fail the\n"
+              "       run"},
+};
 
 } // namespace
 
@@ -790,10 +819,6 @@ main(int argc, char **argv)
         };
         if (arg == "--root") {
             opts.root = value("--root");
-        } else if (arg == "--compdb") {
-            opts.compdb = value("--compdb");
-        } else if (arg == "--under") {
-            opts.under = value("--under");
         } else if (arg == "--probe-header") {
             opts.probeHeader = value("--probe-header");
         } else if (arg == "--baseline") {
@@ -801,10 +826,14 @@ main(int argc, char **argv)
         } else if (arg == "--write-baseline") {
             opts.writeBaselinePath = value("--write-baseline");
         } else if (arg == "--list-rules") {
-            std::cout << ruleCatalog;
+            for (const Rule &r : rules) {
+                std::cout << std::left << std::setw(7) << r.id
+                          << r.summary << "\n";
+            }
+            std::cout << "\nSuppress one finding with a reasoned "
+                         "comment on the same line\nor the line above: "
+                         "// MDA_LINT_ALLOW(<rule>): <reason>\n";
             return 0;
-        } else if (arg == "-q" || arg == "--quiet") {
-            opts.quiet = true;
         } else if (arg == "-h" || arg == "--help") {
             std::cout << usage;
             return 0;
@@ -816,17 +845,15 @@ main(int argc, char **argv)
             opts.inputs.push_back(arg);
         }
     }
-    if (opts.inputs.empty() && opts.compdb.empty()) {
+    if (opts.inputs.empty()) {
         std::cerr << usage;
         return 2;
     }
 
-    // Collect the file set (sorted, deduplicated, filtered).
+    // Collect the file set (sorted, deduplicated).
     std::set<std::string> files;
-    if (!mda::scan::collectInputs(opts.root, opts.inputs, opts.compdb,
-                                  opts.under, "mda-lint", files)) {
+    if (!mda::scan::collectInputs(opts.root, opts.inputs, files))
         return 2;
-    }
 
     // OBS-2 probe registry.
     std::string probe_reg = opts.probeHeader;
@@ -845,7 +872,7 @@ main(int argc, char **argv)
         }
     }
 
-    // Scan and check.
+    // Load and scan each file once; every pass reads these.
     std::vector<ScanFile> scanned;
     scanned.reserve(files.size());
     for (const std::string &path : files) {
@@ -868,30 +895,36 @@ main(int argc, char **argv)
         checkTrc1(ctx, sf);
     }
     finishObs1(ctx);
+    mda::lint::checkWholeProgram(scanned, ctx.findings);
 
-    // SUP-1 after all rule passes: any allow for an mda-lint rule
-    // that suppressed nothing is itself a finding.
-    mda::scan::appendStaleAllowFindings(scanned,
-                                        mda::scan::lintRules(),
+    // SUP-1 after all rule passes: an allow that suppressed nothing
+    // is itself a finding.
+    std::set<std::string> suppressible;
+    for (const Rule &r : rules) {
+        if (std::string(r.id) != "SUP-1")
+            suppressible.insert(r.id);
+    }
+    mda::scan::appendStaleAllowFindings(scanned, suppressible,
                                         ctx.findings);
 
+    // A site several walks reach is reported once.
     std::sort(ctx.findings.begin(), ctx.findings.end(),
               findingBefore);
+    ctx.findings.erase(
+        std::unique(ctx.findings.begin(), ctx.findings.end(),
+                    [](const Finding &a, const Finding &b) {
+                        return a.rule == b.rule && a.file == b.file &&
+                               a.line == b.line && a.key == b.key;
+                    }),
+        ctx.findings.end());
 
-    if (!opts.writeBaselinePath.empty()) {
-        mda::scan::writeBaseline(
-            opts.writeBaselinePath, ctx.findings,
-            "# mda-lint baseline: RULE<TAB>file<TAB>key triples.\n"
-            "# Findings listed here are grandfathered; refresh\n"
-            "# with --write-baseline (see ci/LINT.md).\n");
-    }
+    if (!opts.writeBaselinePath.empty())
+        mda::scan::writeBaseline(opts.writeBaselinePath, ctx.findings);
 
     std::set<std::string> baseline;
     if (!opts.baselinePath.empty())
-        baseline = mda::scan::loadBaseline(opts.baselinePath,
-                                           "mda-lint");
+        baseline = mda::scan::loadBaseline(opts.baselinePath);
 
     return mda::scan::reportFindings(ctx.findings, baseline,
-                                     scanned.size(), "mda-lint",
-                                     opts.quiet);
+                                     scanned.size());
 }
